@@ -8,20 +8,21 @@
 //   * stacked:            query mediator over the view mediator's virtual
 //                         document;
 //   * composed:           one flat plan (view unfolded into the query);
-//   * composed+rewritten: the flat plan after the rewriter runs over the
-//                         combined operator tree (σ-enabling, pushdowns).
+//   * composed+rewritten: the flat plan after the optimizer's default pass
+//                         pipeline runs over the combined operator tree
+//                         (σ-enabling, pushdowns, fusion, reordering).
 //
 // Expected shape: source navigations are identical across strategies (the
 // selection's variable is only derivable through the view's join, so no
 // strategy can skip source work), but composition removes the per-hop
 // id-wrapping administration of the mediator tree — a constant-factor
 // wall-time win that grows with answer size — and yields one flat plan the
-// rewriter can keep working on.
+// optimizer can keep working on.
 #include <benchmark/benchmark.h>
 
 #include "mediator/compose.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -94,9 +95,11 @@ void RunFlat(benchmark::State& state, int n, bool rewrite) {
   auto composed =
       mediator::ComposeQueryOverView(*query, "theView", *view).ValueOrDie();
   if (rewrite) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&composed, options);
+    // The default pass pipeline, σ declared for both DocNavigable sources.
+    mediator::passes::OptimizerOptions options;
+    options.sources["homesSrc"].sigma = true;
+    options.sources["schoolsSrc"].sigma = true;
+    mediator::passes::OptimizePlan(&composed, options).ValueOrDie();
   }
   for (auto _ : state) {
     xml::DocNavigable homes_nav(inst.homes.get());

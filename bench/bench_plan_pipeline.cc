@@ -11,7 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -30,15 +30,18 @@ WHERE homesSrc homes.home $H AND $H zip._ $V1
   AND $V1 = $V2
 )";
 
-mediator::PlanPtr Fig3Plan(bool sigma) {
+/// The default pass pipeline with σ declared for both sources (the
+/// DocNavigables below answer σ natively).
+void OptimizeWithSigma(mediator::PlanPtr* plan) {
+  mediator::passes::OptimizerOptions options;
+  options.sources["homesSrc"].sigma = true;
+  options.sources["schoolsSrc"].sigma = true;
+  mediator::passes::OptimizePlan(plan, options).ValueOrDie();
+}
+
+mediator::PlanPtr Fig3Plan() {
   auto q = xmas::ParseQuery(kFig3).ValueOrDie();
-  auto plan = mediator::TranslateQuery(q).ValueOrDie();
-  if (sigma) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&plan, options);
-  }
-  return plan;
+  return mediator::TranslateQuery(q).ValueOrDie();
 }
 
 /// First-result latency vs. join selectivity (zips count).
@@ -47,7 +50,7 @@ void BM_JoinSelectivitySweep(benchmark::State& state) {
   int zips = static_cast<int>(state.range(0));
   auto homes = xml::MakeHomesDoc(n, zips);
   auto schools = xml::MakeSchoolsDoc(n, zips);
-  auto plan = Fig3Plan(false);
+  auto plan = Fig3Plan();
   for (auto _ : state) {
     xml::DocNavigable homes_nav(homes.get());
     xml::DocNavigable schools_nav(schools.get());
@@ -104,11 +107,7 @@ void BM_SigmaRewriteAblation(benchmark::State& state) {
   auto q = xmas::ParseQuery(
       "CONSTRUCT <out> $H {$H} </out> {} WHERE homesSrc homes.home $H");
   auto plan = mediator::TranslateQuery(q.value()).ValueOrDie();
-  if (sigma) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&plan, options);
-  }
+  if (sigma) OptimizeWithSigma(&plan);
   for (auto _ : state) {
     xml::DocNavigable homes_nav(homes.get());
     NavStats stats;
@@ -139,7 +138,7 @@ void BM_MediatorStackDepth(benchmark::State& state) {
   int extra_levels = static_cast<int>(state.range(0));
   auto homes = xml::MakeHomesDoc(500, 60);
   auto schools = xml::MakeSchoolsDoc(500, 60);
-  auto base_plan = Fig3Plan(false);
+  auto base_plan = Fig3Plan();
   // Identity view: re-group all med_homes under a fresh answer element.
   auto identity_q = xmas::ParseQuery(
       "CONSTRUCT <answer> $M {$M} </answer> {} "

@@ -3,7 +3,9 @@
 // Demonstrates:
 //   * the Fig. 3 XMAS query, verbatim;
 //   * the generated algebra plan (compare with Fig. 4);
-//   * the browsability report (Section 2) with and without σ;
+//   * the browsability report (Section 2) with no source capabilities and
+//     with σ declared per source;
+//   * the optimizer pass pipeline over the plan;
 //   * navigation-driven evaluation: source navigations consumed by a user
 //     who browses only the first med_home vs. full materialization.
 #include <cstdio>
@@ -11,7 +13,7 @@
 #include "client/client.h"
 #include "mediator/browsability.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -38,22 +40,26 @@ WHERE homesSrc homes.home $H AND $H zip._ $V1
   auto plan = mediator::TranslateQuery(query).ValueOrDie();
   std::printf("--- initial plan E_q (Fig. 4) ---\n%s\n", plan->ToString().c_str());
 
-  // Browsability (Section 2).
+  // Browsability (Section 2). σ is a per-source capability: both sources
+  // here are DocNavigables, which answer σ natively.
+  mediator::SourceCapabilities sigma_caps;
+  sigma_caps["homesSrc"].sigma = true;
+  sigma_caps["schoolsSrc"].sigma = true;
   for (bool sigma : {false, true}) {
-    mediator::BrowsabilityOptions options;
-    options.sigma_available = sigma;
-    auto report = mediator::Classify(*plan, options);
-    std::printf("browsability (sigma %s): %s\n", sigma ? "on" : "off",
-                mediator::BrowsabilityName(report.cls));
+    auto report = mediator::Classify(
+        *plan, sigma ? sigma_caps : mediator::SourceCapabilities{});
+    std::printf("browsability (sigma %s): %s\n",
+                sigma ? "on: homesSrc, schoolsSrc" : "off: no capabilities",
+                mediator::BrowsabilityName(report.value().cls));
   }
   std::printf("\n");
 
-  // Rewriting phase.
-  mediator::RewriteOptions rewrite_options;
-  rewrite_options.sigma_capable_sources = true;
+  // Optimization: the default pass pipeline with σ declared per source.
+  mediator::passes::OptimizerOptions options;
+  options.sources = sigma_caps;
   auto rewritten = plan->Clone();
-  auto stats = mediator::Rewrite(&rewritten, rewrite_options);
-  std::printf("--- rewriting: %s ---\n%s\n", stats.ToString().c_str(),
+  auto report = mediator::passes::OptimizePlan(&rewritten, options);
+  std::printf("--- optimized: %s ---\n%s\n", report.value().ToString().c_str(),
               rewritten->ToString().c_str());
 
   // Evaluate over synthetic sources: 200 homes / 200 schools, 40 zips.

@@ -2,7 +2,7 @@
 //
 //   mixql [options] <query.xmas> name=source.xml [name=source.xml ...]
 //
-//   --plan      print the algebra plan (after rewriting) and exit
+//   --plan      print the algebra plan (after optimization) and exit
 //   --analyze   print the browsability report and exit
 //   --algebra   the query file contains plan text (PlanNode::ToString
 //               format, see mediator/plan_text.h) instead of XMAS
@@ -17,8 +17,9 @@
 // The query file uses the Fig. 3 syntax; each `name=path` pair binds a
 // WHERE-clause source name to a document on disk — XML, or (by the .csv
 // extension) a CSV file exported as csv[row[col[v]...]*] through the CSV
-// LXP wrapper behind a generic buffer. The answer is evaluated lazily and
-// serialized to stdout.
+// LXP wrapper behind a generic buffer. XML sources answer σ natively, so
+// the optimizer and the browsability report declare σ for each of them.
+// The answer is evaluated lazily and serialized to stdout.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,7 +30,7 @@
 #include "mediator/plan_text.h"
 #include "mediator/view_schema.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -48,6 +49,10 @@ int Usage() {
                "[--first N] [--view name=view.xmas] "
                "<query.xmas> name=source.{xml,csv} ...\n");
   return 2;
+}
+
+bool IsCsvPath(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -154,9 +159,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  mediator::RewriteOptions rewrite_options;
-  rewrite_options.sigma_capable_sources = true;
-  mediator::Rewrite(&plan.value(), rewrite_options);
+  mediator::passes::OptimizerOptions optimizer;
+  for (const auto& [name, path] : bindings) {
+    if (!IsCsvPath(path)) optimizer.sources[name].sigma = true;
+  }
+  auto optimized = mediator::passes::OptimizePlan(&plan.value(), optimizer);
+  if (!optimized.ok()) {
+    // The plan is left as compiled; it still evaluates.
+    std::fprintf(stderr, "[optimizer skipped: %s]\n",
+                 optimized.status().ToString().c_str());
+  }
 
   if (print_plan) {
     std::printf("%s", plan.value()->ToString().c_str());
@@ -172,11 +184,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (analyze) {
-    mediator::BrowsabilityOptions options;
-    options.sigma_available = true;
-    auto report = mediator::Classify(*plan.value(), options);
-    std::printf("browsability: %s\n", BrowsabilityName(report.cls));
-    for (const std::string& reason : report.reasons) {
+    auto report = mediator::Classify(*plan.value(), optimizer.sources);
+    if (!report.ok()) {
+      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("browsability: %s\n", BrowsabilityName(report.value().cls));
+    for (const std::string& reason : report.value().reasons) {
       std::printf("  - %s\n", reason.c_str());
     }
     return 0;
@@ -194,9 +208,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
       return 1;
     }
-    bool is_csv =
-        path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (is_csv) {
+    if (IsCsvPath(path)) {
       auto table = wrappers::ParseCsv(text.value());
       if (!table.ok()) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(),

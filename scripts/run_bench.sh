@@ -50,6 +50,11 @@
 # workers:0 vs workers:2 (background pool vs inline sync prefetch) with
 # pushed_or_cached > 0 (fills landed via mailbox/SourceCache, not demand).
 #
+# The e2e suite is the end-to-end ledger of BENCHMARK.json: one
+# `perfbench/run.py --seed 1 --seconds 30 --trace 0` run per declared
+# workload (it builds perfbench/ into .bench_build/ itself), each run's
+# JSON result line collected into BENCH_e2e.json keyed by workload.
+#
 # Usage: scripts/run_bench.sh [suite] [build-dir]
 #   With no arguments, runs every tracked suite against ./build. A first
 #   argument naming a suite (e.g. `plan_opt`) runs just that one, with an
@@ -59,7 +64,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
-SUITES=(node_id plan_pipeline batch_nav lxp_chunking prefetch service faults source_cache plan_opt answer_views tcp fleet async_fill)
+SUITES=(node_id plan_pipeline batch_nav lxp_chunking prefetch service faults source_cache plan_opt answer_views tcp fleet async_fill e2e)
 BUILD=build
 if [ $# -gt 0 ]; then
   matched=0
@@ -75,13 +80,31 @@ if [ $# -gt 0 ]; then
     if [ -d "$1" ]; then
       BUILD="$1"
     else
-      echo "unknown suite or build dir '$1' — valid suites: node_id plan_pipeline batch_nav lxp_chunking prefetch service faults source_cache plan_opt answer_views tcp fleet async_fill" >&2
+      echo "unknown suite or build dir '$1' — valid suites: ${SUITES[*]}" >&2
       echo "usage: scripts/run_bench.sh [suite] [build-dir]" >&2
       exit 1
     fi
   fi
 fi
+
+run_e2e() {
+  local json="{" sep="" workload line
+  for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    echo "== e2e $workload"
+    line=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 30 --trace 0 | tail -n 1)
+    json+="$sep\"$workload\": $line"
+    sep=", "
+  done
+  echo "$json}" > BENCH_e2e.json
+  python3 -m json.tool BENCH_e2e.json > /dev/null
+}
+
 for name in "${SUITES[@]}"; do
+  if [ "$name" = e2e ]; then
+    run_e2e
+    continue
+  fi
   bin="$BUILD/bench/bench_$name"
   if [ ! -x "$bin" ]; then
     echo "missing $bin — build first: cmake -B $BUILD -S . && cmake --build $BUILD" >&2

@@ -1,5 +1,8 @@
 #include "mediator/browsability.h"
 
+#include <algorithm>
+#include <cstdio>
+
 #include "pathexpr/path_expr.h"
 
 namespace mix::mediator {
@@ -16,28 +19,7 @@ const char* BrowsabilityName(Browsability b) {
   return "?";
 }
 
-namespace {
-
-void Worsen(BrowsabilityReport* report, Browsability cls, std::string reason) {
-  if (static_cast<int>(cls) > static_cast<int>(report->cls)) {
-    report->cls = cls;
-  }
-  report->reasons.push_back(std::move(reason));
-}
-
-void Visit(const PlanNode& node, const BrowsabilityOptions& options,
-           BrowsabilityReport* report) {
-  std::string reason;
-  Browsability cls = ClassifyOperator(node, options.sigma_available, &reason);
-  if (cls != Browsability::kBoundedBrowsable) {
-    Worsen(report, cls, std::move(reason));
-  }
-  for (const PlanPtr& c : node.children) Visit(*c, options, report);
-}
-
-}  // namespace
-
-Browsability ClassifyOperator(const PlanNode& node, bool sigma_available,
+Browsability ClassifyOperator(const PlanNode& node, bool sigma,
                               std::string* reason) {
   using Kind = PlanNode::Kind;
   std::string why;
@@ -59,7 +41,7 @@ Browsability ClassifyOperator(const PlanNode& node, bool sigma_available,
     case Kind::kGetDescendants: {
       auto path = pathexpr::PathExpr::Parse(node.path);
       bool chain = path.ok() && path.value().IsLabelChain();
-      if (chain && (node.use_sigma || sigma_available)) {
+      if (chain && (node.use_sigma || sigma)) {
         // One σ per level retrieves the next match: bounded (Section 2).
         break;
       }
@@ -108,11 +90,184 @@ Browsability ClassifyOperator(const PlanNode& node, bool sigma_available,
   return cls;
 }
 
-BrowsabilityReport Classify(const PlanNode& plan,
-                            const BrowsabilityOptions& options) {
+namespace {
+
+Browsability Worse(Browsability a, Browsability b) {
+  return static_cast<int>(a) < static_cast<int>(b) ? b : a;
+}
+
+bool IsLabelChain(const std::string& path) {
+  auto parsed = pathexpr::PathExpr::Parse(path);
+  return parsed.ok() && parsed.value().IsLabelChain();
+}
+
+Status Analyze(const PlanNode& n, const SourceCapabilities& caps,
+               PlanAnalysis* table) {
+  using Kind = PlanNode::Kind;
+  std::vector<const NodeFacts*> kids;
+  for (const PlanPtr& c : n.children) {
+    Status s = Analyze(*c, caps, table);
+    if (!s.ok()) return s;
+    kids.push_back(&table->at(c.get()));
+  }
+  NodeFacts& f = (*table)[&n];
+
+  // Schema (kTupleDestroy yields a document, not bindings: empty schema).
+  if (n.kind != Kind::kTupleDestroy) {
+    std::vector<algebra::VarList> child_schemas;
+    for (const NodeFacts* k : kids) child_schemas.push_back(k->schema);
+    auto s = SchemaTransition(n, child_schemas);
+    if (!s.ok()) return s.status();
+    f.schema = std::move(s).ValueOrDie();
+  }
+
+  // Provenance: merge children, apply the operator's own bindings, then
+  // restrict to the output schema.
+  for (const NodeFacts* k : kids) {
+    f.var_source.insert(k->var_source.begin(), k->var_source.end());
+  }
+  auto source_of = [&f](const std::string& var) {
+    auto it = f.var_source.find(var);
+    return it == f.var_source.end() ? std::string() : it->second;
+  };
+  switch (n.kind) {
+    case Kind::kSource:
+      f.var_source[n.var] = n.source_name;
+      break;
+    case Kind::kGetDescendants:
+      f.var_source[n.out_var] = source_of(n.parent_var);
+      break;
+    case Kind::kGroupBy:
+    case Kind::kConcatenate:
+    case Kind::kCreateElement:
+    case Kind::kWrapList:
+    case Kind::kConst:
+      // Constructors synthesize their output value.
+      f.var_source[n.out_var] = "";
+      break;
+    case Kind::kCachedView:
+      // Snapshot values have no live σ-capable source behind them.
+      f.var_source[n.var] = "";
+      break;
+    case Kind::kRename:
+      f.var_source[n.out_var] = source_of(n.x_var);
+      break;
+    default:
+      break;
+  }
+  for (auto it = f.var_source.begin(); it != f.var_source.end();) {
+    bool in_schema = std::find(f.schema.begin(), f.schema.end(),
+                               it->first) != f.schema.end();
+    it = in_schema ? std::next(it) : f.var_source.erase(it);
+  }
+
+  // Source set.
+  for (const NodeFacts* k : kids) {
+    f.sources.insert(f.sources.end(), k->sources.begin(), k->sources.end());
+  }
+  if (n.kind == Kind::kSource) f.sources.push_back(n.source_name);
+  std::sort(f.sources.begin(), f.sources.end());
+  f.sources.erase(std::unique(f.sources.begin(), f.sources.end()),
+                  f.sources.end());
+
+  // Browsability, σ-capability resolved per source through provenance.
+  bool sigma = false;
+  if (n.kind == Kind::kGetDescendants) {
+    auto v = kids[0]->var_source.find(n.parent_var);
+    if (v != kids[0]->var_source.end()) {
+      auto c = caps.find(v->second);
+      sigma = c != caps.end() && c->second.sigma;
+    }
+  }
+  f.self_cls = ClassifyOperator(n, sigma, &f.reason);
+  f.cls = f.self_cls;
+  for (const NodeFacts* k : kids) f.cls = Worse(f.cls, k->cls);
+
+  // Fan-out estimate.
+  double in0 = kids.empty() ? 1.0 : kids[0]->fanout;
+  double in1 = kids.size() > 1 ? kids[1]->fanout : 1.0;
+  switch (n.kind) {
+    case Kind::kSource:
+      f.fanout = 1.0;
+      break;
+    case Kind::kGetDescendants:
+      f.fanout = in0 * (IsLabelChain(n.path) ? 4.0 : 8.0);
+      break;
+    case Kind::kSelect:
+      f.fanout = in0 * (n.predicate->is_var_var() ? 0.5 : 0.25);
+      break;
+    case Kind::kJoin:
+      f.fanout = in0 * in1 *
+                 (n.predicate->op() == algebra::CompareOp::kEq ? 0.1 : 0.5);
+      break;
+    case Kind::kGroupBy:
+      f.fanout = in0 * 0.5;
+      break;
+    case Kind::kDistinct:
+      f.fanout = in0 * 0.75;
+      break;
+    case Kind::kUnion:
+      f.fanout = in0 + in1;
+      break;
+    default:
+      f.fanout = in0;
+      break;
+  }
+  return Status::OK();
+}
+
+void CollectReasons(const PlanNode& n, const PlanAnalysis& analysis,
+                    BrowsabilityReport* report) {
+  const NodeFacts& f = analysis.at(&n);
+  if (f.self_cls != Browsability::kBoundedBrowsable) {
+    report->cls = Worse(report->cls, f.self_cls);
+    report->reasons.push_back(f.reason);
+  }
+  for (const PlanPtr& c : n.children) CollectReasons(*c, analysis, report);
+}
+
+}  // namespace
+
+Result<PlanAnalysis> AnalyzePlan(const PlanNode& root,
+                                 const SourceCapabilities& caps) {
+  PlanAnalysis table;
+  Status s = Analyze(root, caps, &table);
+  if (!s.ok()) return s;
+  return table;
+}
+
+Result<BrowsabilityReport> Classify(const PlanNode& plan,
+                                    const SourceCapabilities& caps) {
+  auto analysis = AnalyzePlan(plan, caps);
+  if (!analysis.ok()) return analysis.status();
   BrowsabilityReport report;
-  Visit(plan, options, &report);
+  CollectReasons(plan, analysis.value(), &report);
   return report;
+}
+
+std::string DumpAnnotatedPlan(const PlanNode& plan,
+                              const PlanAnalysis& analysis) {
+  return plan.ToString([&analysis](const PlanNode& n) {
+    const NodeFacts& f = analysis.at(&n);
+    std::string schema = "{";
+    for (size_t i = 0; i < f.schema.size(); ++i) {
+      if (i > 0) schema += ",";
+      schema += "$" + f.schema[i];
+    }
+    schema += "}";
+    std::string src = "{";
+    bool first = true;
+    for (const auto& [var, source] : f.var_source) {
+      if (!first) src += ",";
+      first = false;
+      src += var + ":" + (source.empty() ? "-" : source);
+    }
+    src += "}";
+    char fanout[32];
+    std::snprintf(fanout, sizeof(fanout), "%.3g", f.fanout);
+    return " % schema=" + schema + " src=" + src +
+           " cls=" + BrowsabilityName(f.cls) + " fanout=" + fanout;
+  });
 }
 
 }  // namespace mix::mediator

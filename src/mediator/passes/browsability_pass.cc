@@ -1,12 +1,11 @@
-// Browsability classifier pass (legacy rewrite rule 1, promoted to an
-// analysis-driven rewrite): a label-chain getDescendants whose anchoring
-// value navigates a σ-capable source switches to σ sibling scans, which
-// upgrades it from browsable to bounded browsable (paper Section 2, end).
-// σ-capability is resolved per source through the IR's variable
+// Browsability pass: a label-chain getDescendants whose anchoring value
+// navigates a σ-capable source switches to σ sibling scans, which upgrades
+// it from browsable to bounded browsable (paper Section 2, end).
+// σ-capability is resolved per source by AnalyzePlan through variable
 // provenance — a plan mixing relational and CSV legs only upgrades the
-// legs whose wrapper answers σ.
+// legs whose wrapper answers σ. The analysis already classifies such a
+// node as bounded; this pass makes the plan say so.
 #include "mediator/passes/pass.h"
-#include "pathexpr/path_expr.h"
 
 namespace mix::mediator::passes {
 
@@ -16,32 +15,21 @@ class BrowsabilityPass : public Pass {
  public:
   const char* name() const override { return "browsability"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions& options) override {
-    return Walk(root->get(), options);
+  Result<int> Run(PlanPtr* root, PlanAnalysis* analysis,
+                  const OptimizerOptions&) override {
+    return Walk(root->get(), *analysis);
   }
 
  private:
-  int Walk(IrNode* node, const OptimizerOptions& options) {
+  int Walk(PlanNode* node, const PlanAnalysis& analysis) {
     int changes = 0;
-    if (node->op.kind == PlanNode::Kind::kGetDescendants &&
-        !node->op.use_sigma && SigmaAvailable(*node, options)) {
-      auto path = pathexpr::PathExpr::Parse(node->op.path);
-      if (path.ok() && path.value().IsLabelChain()) {
-        node->op.use_sigma = true;
-        ++changes;
-      }
+    if (node->kind == PlanNode::Kind::kGetDescendants && !node->use_sigma &&
+        analysis.at(node).self_cls == Browsability::kBoundedBrowsable) {
+      node->use_sigma = true;
+      ++changes;
     }
-    for (IrPtr& c : node->children) changes += Walk(c.get(), options);
+    for (PlanPtr& c : node->children) changes += Walk(c.get(), analysis);
     return changes;
-  }
-
-  bool SigmaAvailable(const IrNode& gd, const OptimizerOptions& options) {
-    if (options.assume_all_sigma) return true;
-    const auto& child_src = gd.children[0]->var_source;
-    auto v = child_src.find(gd.op.parent_var);
-    if (v == child_src.end() || v->second.empty()) return false;
-    auto cap = options.sources.find(v->second);
-    return cap != options.sources.end() && cap->second.sigma;
   }
 };
 

@@ -12,8 +12,8 @@
 // Applied only when the new intermediate join's estimate beats the old
 // one by a strict 25% margin — the margin keeps the two mirrored patterns
 // from oscillating. Each predicate travels with its join node (cache /
-// index flags stay coherent). One rotation per invocation: annotations go
-// stale on reshape, and the PassManager re-analyzes between passes.
+// index flags stay coherent). One rotation per invocation: the analysis
+// goes stale on reshape, and the PassManager re-analyzes between passes.
 #include <algorithm>
 
 #include "mediator/passes/pass.h"
@@ -35,7 +35,7 @@ bool AllIn(const std::vector<std::string>& vars, const algebra::VarList& a,
   return true;
 }
 
-/// Mirrors AnalyzeIr's join fan-out rule for a hypothetical join.
+/// Mirrors AnalyzePlan's join fan-out rule for a hypothetical join.
 double JoinEst(const PlanNode& join, double left, double right) {
   return left * right *
          (join.predicate->op() == algebra::CompareOp::kEq ? 0.1 : 0.5);
@@ -45,64 +45,40 @@ class JoinReorderPass : public Pass {
  public:
   const char* name() const override { return "join_reorder"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
-    return Walk(root);
+  Result<int> Run(PlanPtr* root, PlanAnalysis* analysis,
+                  const OptimizerOptions&) override {
+    return Walk(root, *analysis);
   }
 
  private:
-  int Walk(IrPtr* slot) {
-    IrNode* p = slot->get();
-    if (p->op.kind == Kind::kJoin) {
-      std::vector<std::string> pvars = InputVars(p->op);
-
-      IrNode* q = p->children[0].get();
-      if (q->op.kind == Kind::kJoin) {
-        // join_p(join_q(A,B), C) -> join_q(A, join_p(B,C)).
-        IrNode* a = q->children[0].get();
-        IrNode* b = q->children[1].get();
-        IrNode* c = p->children[1].get();
-        if (AllIn(pvars, b->schema, c->schema) &&
-            JoinEst(p->op, b->fanout, c->fanout) <
-                0.75 * JoinEst(q->op, a->fanout, b->fanout)) {
-          IrPtr p_owned = std::move(*slot);
-          IrPtr q_owned = std::move(p_owned->children[0]);
-          IrPtr a_owned = std::move(q_owned->children[0]);
-          IrPtr b_owned = std::move(q_owned->children[1]);
-          IrPtr c_owned = std::move(p_owned->children[1]);
-          p_owned->children[0] = std::move(b_owned);
-          p_owned->children[1] = std::move(c_owned);
-          q_owned->children[0] = std::move(a_owned);
-          q_owned->children[1] = std::move(p_owned);
-          *slot = std::move(q_owned);
-          return 1;
+  int Walk(PlanPtr* slot, const PlanAnalysis& analysis) {
+    PlanNode* p = slot->get();
+    if (p->kind == Kind::kJoin) {
+      std::vector<std::string> pvars = InputVars(*p);
+      // side 0: join_p(join_q(A,B), C) -> join_q(A, join_p(B,C));
+      // side 1: join_p(A, join_q(B,C)) -> join_q(join_p(A,B), C).
+      // B is q's input next to p's other input; it moves under p.
+      for (int side = 0; side < 2; ++side) {
+        PlanNode* q = p->children[side].get();
+        if (q->kind != Kind::kJoin) continue;
+        const NodeFacts& other = analysis.at(p->children[1 - side].get());
+        const NodeFacts& b = analysis.at(q->children[1 - side].get());
+        const NodeFacts& end = analysis.at(q->children[side].get());
+        if (!AllIn(pvars, b.schema, other.schema) ||
+            JoinEst(*p, b.fanout, other.fanout) >=
+                0.75 * JoinEst(*q, end.fanout, b.fanout)) {
+          continue;
         }
-      }
-
-      q = p->children[1].get();
-      if (q->op.kind == Kind::kJoin) {
-        // join_p(A, join_q(B,C)) -> join_q(join_p(A,B), C).
-        IrNode* a = p->children[0].get();
-        IrNode* b = q->children[0].get();
-        IrNode* c = q->children[1].get();
-        if (AllIn(pvars, a->schema, b->schema) &&
-            JoinEst(p->op, a->fanout, b->fanout) <
-                0.75 * JoinEst(q->op, b->fanout, c->fanout)) {
-          IrPtr p_owned = std::move(*slot);
-          IrPtr q_owned = std::move(p_owned->children[1]);
-          IrPtr a_owned = std::move(p_owned->children[0]);
-          IrPtr b_owned = std::move(q_owned->children[0]);
-          IrPtr c_owned = std::move(q_owned->children[1]);
-          p_owned->children[0] = std::move(a_owned);
-          p_owned->children[1] = std::move(b_owned);
-          q_owned->children[0] = std::move(p_owned);
-          q_owned->children[1] = std::move(c_owned);
-          *slot = std::move(q_owned);
-          return 1;
-        }
+        PlanPtr p_owned = std::move(*slot);
+        PlanPtr q_owned = std::move(p_owned->children[side]);
+        p_owned->children[side] = std::move(q_owned->children[1 - side]);
+        q_owned->children[1 - side] = std::move(p_owned);
+        *slot = std::move(q_owned);
+        return 1;
       }
     }
-    for (IrPtr& child : slot->get()->children) {
-      int changes = Walk(&child);
+    for (PlanPtr& child : slot->get()->children) {
+      int changes = Walk(&child, analysis);
       if (changes != 0) return changes;
     }
     return 0;

@@ -1,20 +1,20 @@
-// Optimizer pass pipeline over the plan IR (DESIGN.md §6).
+// Optimizer pass pipeline over the plan (DESIGN.md §6).
 //
-// Each pass is a self-contained rewrite with explicit legality conditions;
-// the PassManager runs the pipeline to fixpoint (a pass may expose
-// opportunities for an earlier one), refreshing IR annotations between
-// passes so every pass may trust them on entry.
+// Each pass is a self-contained rewrite of the PlanNode tree, in place,
+// with explicit legality conditions; the PassManager runs the pipeline to
+// fixpoint (a pass may expose opportunities for an earlier one),
+// re-running AnalyzePlan between passes so every pass may trust the side
+// table on entry.
 //
 // Default pipeline, in order:
 //   select_pushdown  — selections sink below join / getDescendants /
-//                      groupBy (legacy rule 2);
+//                      groupBy;
 //   wrapper_pushdown — selections over relational sources compile into the
 //                      wrapper's mini-SQL view URI;
 //   fusion           — select/getDescendants fusion and dead-constructor
 //                      elimination;
-//   project_prune    — full-schema projections drop (legacy rule 3);
-//   browsability     — σ enablement per σ-capable source (legacy rule 1,
-//                      now an analysis-driven rewrite);
+//   project_prune    — full-schema projections drop;
+//   browsability     — σ enablement per σ-capable source;
 //   join_reorder     — fan-out-driven reassociation (leaf order preserved,
 //                      so answers stay byte-identical).
 #ifndef MIX_MEDIATOR_PASSES_PASS_H_
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "mediator/ir.h"
+#include "mediator/browsability.h"
 
 namespace mix::mediator::passes {
 
@@ -35,11 +35,10 @@ struct OptimizerOptions {
   /// pipeline. Reserved headroom for level-gated passes later.
   int level = 1;
   /// Per-source capabilities (σ, pushdown, relational catalog).
-  std::map<std::string, SourceCapability> sources;
-  /// Legacy Rewrite() compatibility: treat every source as σ-capable.
-  bool assume_all_sigma = false;
-  /// Called after each pass that changed the tree: (pass name, annotated
-  /// DumpIr). Unset => MIX_DUMP_PASSES=1 in the environment dumps to stderr.
+  SourceCapabilities sources;
+  /// Called after each pass that changed the tree: (pass name,
+  /// DumpAnnotatedPlan). Unset => MIX_DUMP_PASSES=1 in the environment
+  /// dumps to stderr.
   std::function<void(const std::string& pass_name, const std::string& dump)>
       dump_hook;
 };
@@ -48,11 +47,12 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
-  /// Applies the pass to *root (which it may re-root); returns the number
-  /// of rewrites applied. IR annotations are fresh on entry; a pass that
-  /// reshapes the tree must either keep the annotations it later reads
-  /// consistent or not read stale ones.
-  virtual Result<int> Run(IrPtr* root, const OptimizerOptions& options) = 0;
+  /// Rewrites *root in place (it may re-root); returns the number of
+  /// rewrites applied. `analysis` is fresh on entry; a pass that reshapes
+  /// the tree must either keep the facts it later reads consistent or not
+  /// read stale ones.
+  virtual Result<int> Run(PlanPtr* root, PlanAnalysis* analysis,
+                          const OptimizerOptions& options) = 0;
 };
 
 struct PassStats {
@@ -81,7 +81,7 @@ class PassManager {
   /// Runs the pipeline to fixpoint (max 64 rounds), re-analyzing between
   /// passes. On failure the tree may be partially rewritten — callers that
   /// need all-or-nothing semantics (OptimizePlan) work on a copy.
-  Result<OptimizeReport> Run(IrPtr* root, const OptimizerOptions& options);
+  Result<OptimizeReport> Run(PlanPtr* root, const OptimizerOptions& options);
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -94,9 +94,9 @@ std::unique_ptr<Pass> MakeProjectPrunePass();
 std::unique_ptr<Pass> MakeBrowsabilityPass();
 std::unique_ptr<Pass> MakeJoinReorderPass();
 
-/// plan -> IR -> Default pipeline -> plan. options.level <= 0 returns an
-/// empty report without touching the plan. On any failure `*plan` is left
-/// exactly as passed in.
+/// Runs the Default pipeline on one clone of `*plan` and swaps it in on
+/// success. options.level <= 0 returns an empty report without touching
+/// the plan. On any failure `*plan` is left exactly as passed in.
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options);
 
@@ -104,6 +104,14 @@ Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
 /// (level, σ/pushdown capabilities, catalogs). Mixed into the PlanCache key
 /// so a config change never serves a stale shape.
 std::string OptimizerFingerprint(const OptimizerOptions& options);
+
+/// The variables `op` reads from its input bindings.
+std::vector<std::string> InputVars(const PlanNode& op);
+
+/// Number of times `var` is consumed as an *input* anywhere in the tree
+/// (predicates, anchors, group/sort/project lists, constructor arguments,
+/// the tupleDestroy root variable). Schema pass-through does not count.
+int CountVarUses(const PlanNode& root, const std::string& var);
 
 }  // namespace mix::mediator::passes
 

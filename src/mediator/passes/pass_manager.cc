@@ -43,46 +43,45 @@ void PassManager::Add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));
 }
 
-Result<OptimizeReport> PassManager::Run(IrPtr* root,
+Result<OptimizeReport> PassManager::Run(PlanPtr* root,
                                         const OptimizerOptions& options) {
   OptimizeReport report;
   for (const auto& p : passes_) report.passes.push_back({p->name(), 0});
 
-  Status analyzed =
-      AnalyzeIr(root->get(), options.sources, options.assume_all_sigma);
-  if (!analyzed.ok()) return analyzed;
-  report.before_cls = (*root)->cls;
+  auto analysis = AnalyzePlan(**root, options.sources);
+  if (!analysis.ok()) return analysis.status();
+  report.before_cls = analysis.value().at(root->get()).cls;
 
   for (int round = 0; round < 64; ++round) {
     int round_changes = 0;
     for (size_t i = 0; i < passes_.size(); ++i) {
-      auto applied = passes_[i]->Run(root, options);
+      auto applied = passes_[i]->Run(root, &analysis.value(), options);
       if (!applied.ok()) return applied.status();
       if (applied.value() == 0) continue;
       round_changes += applied.value();
       report.passes[i].applied += applied.value();
-      // Refresh annotations so the next pass sees the new shape.
-      analyzed =
-          AnalyzeIr(root->get(), options.sources, options.assume_all_sigma);
-      if (!analyzed.ok()) {
+      // Refresh the side table so the next pass sees the new shape.
+      analysis = AnalyzePlan(**root, options.sources);
+      if (!analysis.ok()) {
         return Status::Internal(std::string("pass '") + passes_[i]->name() +
-                                "' broke the plan: " + analyzed.ToString());
+                                "' broke the plan: " +
+                                analysis.status().ToString());
       }
       if (options.dump_hook) {
-        options.dump_hook(passes_[i]->name(), DumpIr(**root, true));
+        options.dump_hook(passes_[i]->name(),
+                          DumpAnnotatedPlan(**root, analysis.value()));
       }
     }
     ++report.rounds;
     if (round_changes == 0) break;
   }
-  report.after_cls = (*root)->cls;
+  report.after_cls = analysis.value().at(root->get()).cls;
   return report;
 }
 
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options) {
   if (options.level <= 0) return OptimizeReport{};
-  IrPtr ir = IrFromPlan(**plan);
 
   OptimizerOptions effective = options;
   if (!effective.dump_hook && std::getenv("MIX_DUMP_PASSES") != nullptr) {
@@ -92,16 +91,16 @@ Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
     };
   }
 
+  PlanPtr work = (*plan)->Clone();
   PassManager pm = PassManager::Default();
-  auto report = pm.Run(&ir, effective);
+  auto report = pm.Run(&work, effective);
   if (!report.ok()) return report.status();
-  *plan = IrToPlan(*ir);
+  *plan = std::move(work);
   return report;
 }
 
 std::string OptimizerFingerprint(const OptimizerOptions& options) {
   std::string fp = "v1;L" + std::to_string(options.level);
-  if (options.assume_all_sigma) fp += ";allsigma";
   // std::map iterates sources in sorted order: deterministic.
   for (const auto& [name, cap] : options.sources) {
     fp += ";" + name + "=";
@@ -118,6 +117,67 @@ std::string OptimizerFingerprint(const OptimizerOptions& options) {
     }
   }
   return fp;
+}
+
+std::vector<std::string> InputVars(const PlanNode& op) {
+  using Kind = PlanNode::Kind;
+  std::vector<std::string> vars;
+  auto pred_vars = [&vars](const std::optional<algebra::BindingPredicate>& p) {
+    if (!p.has_value()) return;
+    vars.push_back(p->left_var());
+    if (p->is_var_var()) vars.push_back(p->right_var());
+  };
+  switch (op.kind) {
+    case Kind::kSource:
+    case Kind::kCachedView:
+    case Kind::kMaterialize:
+    case Kind::kUnion:
+    case Kind::kDifference:
+    case Kind::kDistinct:
+    case Kind::kConst:
+      break;
+    case Kind::kGetDescendants:
+      vars.push_back(op.parent_var);
+      pred_vars(op.predicate);
+      break;
+    case Kind::kSelect:
+    case Kind::kJoin:
+      pred_vars(op.predicate);
+      break;
+    case Kind::kGroupBy:
+      vars = op.vars;
+      vars.push_back(op.grouped_var);
+      break;
+    case Kind::kConcatenate:
+      vars.push_back(op.x_var);
+      vars.push_back(op.y_var);
+      break;
+    case Kind::kCreateElement:
+      vars.push_back(op.x_var);
+      if (!op.label_is_constant) vars.push_back(op.label);
+      break;
+    case Kind::kOrderBy:
+    case Kind::kProject:
+      vars = op.vars;
+      break;
+    case Kind::kWrapList:
+    case Kind::kRename:
+      vars.push_back(op.x_var);
+      break;
+    case Kind::kTupleDestroy:
+      if (!op.var.empty()) vars.push_back(op.var);
+      break;
+  }
+  return vars;
+}
+
+int CountVarUses(const PlanNode& root, const std::string& var) {
+  int count = 0;
+  for (const std::string& v : InputVars(root)) {
+    if (v == var) ++count;
+  }
+  for (const PlanPtr& c : root.children) count += CountVarUses(*c, var);
+  return count;
 }
 
 }  // namespace mix::mediator::passes

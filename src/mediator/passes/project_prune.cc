@@ -1,5 +1,5 @@
 // Projections that keep their input's full schema (same variables, same
-// order) are identity maps: drop them (legacy rewrite rule 3).
+// order) are identity maps: drop them.
 #include "mediator/passes/pass.h"
 
 namespace mix::mediator::passes {
@@ -10,20 +10,21 @@ class ProjectPrunePass : public Pass {
  public:
   const char* name() const override { return "project_prune"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
-    return Walk(root);
+  Result<int> Run(PlanPtr* root, PlanAnalysis* analysis,
+                  const OptimizerOptions&) override {
+    return Walk(root, *analysis);
   }
 
  private:
-  int Walk(IrPtr* slot) {
+  int Walk(PlanPtr* slot, const PlanAnalysis& analysis) {
     int changes = 0;
-    while ((*slot)->op.kind == PlanNode::Kind::kProject &&
-           (*slot)->children[0]->schema == (*slot)->op.vars) {
-      IrPtr project = std::move(*slot);
+    while ((*slot)->kind == PlanNode::Kind::kProject &&
+           analysis.at((*slot)->children[0].get()).schema == (*slot)->vars) {
+      PlanPtr project = std::move(*slot);
       *slot = std::move(project->children[0]);
       ++changes;
     }
-    for (IrPtr& c : (*slot)->children) changes += Walk(&c);
+    for (PlanPtr& c : (*slot)->children) changes += Walk(&c, analysis);
     return changes;
   }
 };

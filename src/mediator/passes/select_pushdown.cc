@@ -1,12 +1,12 @@
-// Selections sink toward the sources (legacy rewrite rule 2): below the
+// Selections sink toward the sources: below the
 // join side that binds all predicate variables, below getDescendants whose
 // output the predicate ignores, and below groupBy when the predicate only
 // reads group variables (those pass through unchanged, so filtering groups
 // equals filtering bindings). Earlier filtering means lazier scans.
 //
 // Runs its own internal fixpoint: selections are schema-preserving, so a
-// rotation invalidates no annotation this pass reads (the moved select's
-// own schema is patched locally).
+// rotation invalidates no fact this pass reads (the moved select's own
+// schema is patched in the side table).
 #include <algorithm>
 
 #include "mediator/passes/pass.h"
@@ -33,10 +33,11 @@ class SelectPushdownPass : public Pass {
  public:
   const char* name() const override { return "select_pushdown"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
+  Result<int> Run(PlanPtr* root, PlanAnalysis* analysis,
+                  const OptimizerOptions&) override {
     int total = 0;
     for (int i = 0; i < 64; ++i) {
-      int changes = Walk(root);
+      int changes = Walk(root, analysis);
       if (changes == 0) break;
       total += changes;
     }
@@ -46,51 +47,40 @@ class SelectPushdownPass : public Pass {
  private:
   /// One top-down sweep; stops and restarts at each rotation (the reshaped
   /// subtree is revisited by the next sweep).
-  int Walk(IrPtr* slot) {
-    IrNode* node = slot->get();
-    if (node->op.kind == Kind::kSelect) {
-      IrNode* child = node->children[0].get();
-      std::vector<std::string> vars = InputVars(node->op);
-
-      if (child->op.kind == Kind::kJoin) {
-        for (size_t side = 0; side < 2; ++side) {
-          if (!AllIn(vars, child->children[side]->schema)) continue;
-          // select(join(a, b)) -> join(select(a), b) (or the right side).
-          IrPtr select = std::move(*slot);
-          IrPtr join = std::move(select->children[0]);
-          IrPtr target = std::move(join->children[side]);
-          select->schema = target->schema;
-          select->children[0] = std::move(target);
-          join->children[side] = std::move(select);
-          *slot = std::move(join);
-          return 1;
+  int Walk(PlanPtr* slot, PlanAnalysis* analysis) {
+    PlanNode* node = slot->get();
+    if (node->kind == Kind::kSelect) {
+      PlanNode* child = node->children[0].get();
+      std::vector<std::string> vars = InputVars(*node);
+      auto schema = [analysis](const PlanPtr& n) -> algebra::VarList& {
+        return analysis->at(n.get()).schema;
+      };
+      // The input of `child` the select may move onto, -1 if none.
+      int target = -1;
+      if (child->kind == Kind::kJoin) {
+        // Into whichever side binds every predicate variable.
+        for (int side = 0; side < 2 && target < 0; ++side) {
+          if (AllIn(vars, schema(child->children[side]))) target = side;
         }
-      } else if (child->op.kind == Kind::kGetDescendants &&
-                 !Contains(vars, child->op.out_var)) {
-        // select(getDescendants(c)) -> getDescendants(select(c)).
-        IrPtr select = std::move(*slot);
-        IrPtr gd = std::move(select->children[0]);
-        IrPtr input = std::move(gd->children[0]);
-        select->schema = input->schema;
+      } else if ((child->kind == Kind::kGetDescendants &&
+                  !Contains(vars, child->out_var)) ||
+                 (child->kind == Kind::kGroupBy && AllIn(vars, child->vars))) {
+        target = 0;
+      }
+      if (target >= 0) {
+        // select(op(.., c, ..)) -> op(.., select(c), ..).
+        PlanPtr select = std::move(*slot);
+        PlanPtr op = std::move(select->children[0]);
+        PlanPtr input = std::move(op->children[target]);
+        schema(select) = schema(input);
         select->children[0] = std::move(input);
-        gd->children[0] = std::move(select);
-        *slot = std::move(gd);
-        return 1;
-      } else if (child->op.kind == Kind::kGroupBy &&
-                 AllIn(vars, child->op.vars)) {
-        // select(groupBy(c)) -> groupBy(select(c)).
-        IrPtr select = std::move(*slot);
-        IrPtr gb = std::move(select->children[0]);
-        IrPtr input = std::move(gb->children[0]);
-        select->schema = input->schema;
-        select->children[0] = std::move(input);
-        gb->children[0] = std::move(select);
-        *slot = std::move(gb);
+        op->children[target] = std::move(select);
+        *slot = std::move(op);
         return 1;
       }
     }
     int changes = 0;
-    for (IrPtr& c : slot->get()->children) changes += Walk(&c);
+    for (PlanPtr& c : slot->get()->children) changes += Walk(&c, analysis);
     return changes;
   }
 };

@@ -198,26 +198,7 @@ PlanPtr PlanNode::CachedView(std::string source_name, std::string var,
 
 PlanPtr PlanNode::Clone() const {
   auto n = std::make_unique<PlanNode>();
-  n->kind = kind;
-  n->source_name = source_name;
-  n->source_uri = source_uri;
-  n->var = var;
-  n->parent_var = parent_var;
-  n->out_var = out_var;
-  n->path = path;
-  n->use_sigma = use_sigma;
-  n->predicate = predicate;
-  n->join_cache_inner = join_cache_inner;
-  n->join_index_inner = join_index_inner;
-  n->order_by_occurrence = order_by_occurrence;
-  n->vars = vars;
-  n->grouped_var = grouped_var;
-  n->x_var = x_var;
-  n->y_var = y_var;
-  n->label_is_constant = label_is_constant;
-  n->label = label;
-  n->text = text;
-  n->cached_view_children = cached_view_children;
+  static_cast<PlanOp&>(*n) = *this;
   for (const PlanPtr& c : children) n->children.push_back(c->Clone());
   return n;
 }
@@ -320,19 +301,23 @@ std::string Params(const PlanNode& n) {
   }
 }
 
-void Render(const PlanNode& n, int depth, std::string* out) {
+void Render(const PlanNode& n, int depth,
+            const std::function<std::string(const PlanNode&)>& line_suffix,
+            std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += PlanKindName(n.kind);
   *out += Params(n);
+  if (line_suffix) *out += line_suffix(n);
   *out += '\n';
-  for (const PlanPtr& c : n.children) Render(*c, depth + 1, out);
+  for (const PlanPtr& c : n.children) Render(*c, depth + 1, line_suffix, out);
 }
 
 }  // namespace
 
-std::string PlanNode::ToString() const {
+std::string PlanNode::ToString(
+    const std::function<std::string(const PlanNode&)>& line_suffix) const {
   std::string out;
-  Render(*this, 0, &out);
+  Render(*this, 0, line_suffix, &out);
   return out;
 }
 

@@ -5,10 +5,11 @@
 //   * instantiated as a tree of lazy mediators (instantiate.h),
 //   * evaluated eagerly by the reference evaluator (reference_eval.h),
 //   * analyzed for navigational complexity (browsability.h), and
-//   * rewritten by the optimizer (rewrite.h).
+//   * rewritten in place by the optimizer passes (passes/pass.h).
 #ifndef MIX_MEDIATOR_PLAN_H_
 #define MIX_MEDIATOR_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +23,10 @@ namespace mix::mediator {
 struct PlanNode;
 using PlanPtr = std::unique_ptr<PlanNode>;
 
-struct PlanNode {
+/// A plan operator and its parameters: everything of a PlanNode but its
+/// children. Copyable, so PlanNode::Clone copies every parameter at once
+/// and a new parameter can never be left out of a copy.
+struct PlanOp {
   enum class Kind {
     kSource,
     kGetDescendants,
@@ -45,7 +49,6 @@ struct PlanNode {
   };
 
   Kind kind = Kind::kSource;
-  std::vector<PlanPtr> children;
 
   // --- parameters (validity depends on kind) ---
   std::string source_name;                            // kSource
@@ -76,6 +79,10 @@ struct PlanNode {
   /// kCachedView: bind the snapshot root's children (one binding each, in
   /// document order) instead of the root itself.
   bool cached_view_children = false;
+};
+
+struct PlanNode : PlanOp {
+  std::vector<PlanPtr> children;
 
   // --- factories ---
   static PlanPtr Source(std::string source_name, std::string var);
@@ -115,8 +122,10 @@ struct PlanNode {
   PlanPtr Clone() const;
 
   /// Multi-line rendering in Fig. 4 style (operator_{params} per line,
-  /// children indented).
-  std::string ToString() const;
+  /// children indented). `line_suffix`, if set, is appended to each
+  /// node's line.
+  std::string ToString(const std::function<std::string(const PlanNode&)>&
+                           line_suffix = nullptr) const;
 };
 
 /// Computes (and validates) the output schema of a binding-stream plan
@@ -125,8 +134,8 @@ Result<algebra::VarList> ComputeSchema(const PlanNode& node);
 
 /// The single-operator schema rule: output schema of `node` given its
 /// children's schemas (node.children is NOT consulted). This is the
-/// transition ComputeSchema folds over the tree; the optimizer IR
-/// (mediator/ir.h) uses it to annotate nodes without re-walking subtrees.
+/// transition ComputeSchema folds over the tree; AnalyzePlan
+/// (browsability.h) uses it to annotate nodes without re-walking subtrees.
 Result<algebra::VarList> SchemaTransition(
     const PlanNode& node, const std::vector<algebra::VarList>& child_schemas);
 

@@ -34,7 +34,7 @@ Result<std::vector<Line>> Split(std::string_view text) {
     pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
     ++number;
     // Strip a trailing % comment (quote-aware: a % inside a '...' predicate
-    // constant is data). DumpIr's annotated mode relies on this to keep its
+    // constant is data). DumpAnnotatedPlan relies on this to keep its
     // per-line annotations round-trippable.
     bool quoted = false;
     for (size_t i = 0; i < raw.size(); ++i) {

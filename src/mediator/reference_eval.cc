@@ -37,8 +37,11 @@ Result<Table> EvaluateReferenceTable(const PlanNode& node,
     case Kind::kGetDescendants: {
       auto path = pathexpr::PathExpr::Parse(node.path);
       if (!path.ok()) return path.status();
-      return eval.GetDescendants(inputs[0], node.parent_var, path.value(),
-                                 node.out_var);
+      Table out = eval.GetDescendants(inputs[0], node.parent_var,
+                                      path.value(), node.out_var);
+      // A fused filter (fusion pass) is a selection on the gd's output.
+      if (node.predicate.has_value()) return eval.Select(out, *node.predicate);
+      return out;
     }
     case Kind::kSelect:
       return eval.Select(inputs[0], *node.predicate);

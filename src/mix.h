@@ -70,7 +70,6 @@
 #include "mediator/plan.h"
 #include "mediator/plan_text.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
 #include "mediator/translate.h"
 #include "mediator/view_schema.h"
 

@@ -280,6 +280,7 @@ Status Session::TakeSourceStatus() {
     Status s = buffer->TakeStatus();
     if (!s.ok() && first.ok()) first = s;
   }
+  if (!first.ok()) source_faulted_ = true;
   return first;
 }
 

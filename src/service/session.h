@@ -43,7 +43,6 @@
 #include "core/status.h"
 #include "mediator/answer_view_cache.h"
 #include "mediator/instantiate.h"
-#include "mediator/ir.h"
 #include "mediator/passes/pass.h"
 #include "mediator/plan_cache.h"
 #include "net/fault.h"
@@ -209,7 +208,8 @@ class Session {
 
   /// Drains the first error latched by any source buffer during the last
   /// command (OK when navigation was clean) — the typed face of degraded
-  /// answers, reported per command by the service layer.
+  /// answers, reported per command by the service layer. A non-OK drain
+  /// also marks the session as having seen a source fault for good.
   Status TakeSourceStatus();
 
   /// Idempotency token of the Open that created this session ("" = none);
@@ -266,10 +266,13 @@ class Session {
 
   /// True when a full-depth root export of this session is publishable:
   /// it has a valid descriptor, is not itself view-served (no derived
-  /// views of views), and has not published yet. Touched only under the
-  /// executor's per-session serialization.
+  /// views of views), has not published yet, and no command ever drained
+  /// a source fault (operator caches may still hold the shell a cut
+  /// command computed, so a later clean export can be incomplete).
+  /// Touched only under the executor's per-session serialization.
   bool CanPublishView() const {
-    return publish_shape_.valid && view_snapshot_ == nullptr && !published_;
+    return publish_shape_.valid && view_snapshot_ == nullptr && !published_ &&
+           !source_faulted_;
   }
   void MarkViewPublished() { published_ = true; }
   const mediator::ViewShape& publish_shape() const { return publish_shape_; }
@@ -301,6 +304,7 @@ class Session {
   mediator::ViewShape publish_shape_;
   std::map<std::string, int64_t> publish_generations_;
   bool published_ = false;
+  bool source_faulted_ = false;
   /// Every node id a response of this session has handed out (the client's
   /// working set — bounded by what it actually navigated).
   std::unordered_set<NodeId, NodeIdHash> issued_nodes_;

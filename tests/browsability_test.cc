@@ -10,17 +10,21 @@ namespace {
 using algebra::BindingPredicate;
 using algebra::CompareOp;
 
-BrowsabilityReport ClassifyPlan(const PlanNode& plan, bool sigma = false) {
-  BrowsabilityOptions options;
-  options.sigma_available = sigma;
-  return Classify(plan, options);
+/// Classifies `plan` with σ declared for exactly `sigma_sources`.
+BrowsabilityReport ClassifyPlan(const PlanNode& plan,
+                                const std::vector<std::string>& sigma_sources =
+                                    {}) {
+  SourceCapabilities caps;
+  for (const std::string& name : sigma_sources) caps[name].sigma = true;
+  auto report = Classify(plan, caps);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.value() : BrowsabilityReport{};
 }
 
 // Example 1's q_conc: concatenation of first-level elements of two sources
 // — pure structural operators — bounded browsable.
 TEST(BrowsabilityTest, StructuralPlanIsBounded) {
-  // Note: this plan is ill-typed for execution (union schemas differ) but
-  // the classifier is purely syntactic; use same-var sources.
+  // Both sources bind $R, so the union's input schemas agree.
   PlanPtr s1 = PlanNode::Source("src1", "R");
   PlanPtr s2 = PlanNode::Source("src2", "R");
   PlanPtr plan = PlanNode::TupleDestroy(
@@ -37,11 +41,11 @@ TEST(BrowsabilityTest, LabelChainGetDescendantsDependsOnSigma) {
                                    "homes.home", "H"),
           "H", "W"),
       "W");
-  EXPECT_EQ(ClassifyPlan(*plan, /*sigma=*/false).cls,
-            Browsability::kBrowsable);
+  EXPECT_EQ(ClassifyPlan(*plan).cls, Browsability::kBrowsable);
   // With σ in the command set, the same view becomes bounded (Section 2).
-  EXPECT_EQ(ClassifyPlan(*plan, /*sigma=*/true).cls,
-            Browsability::kBoundedBrowsable);
+  EXPECT_EQ(ClassifyPlan(*plan, {"s"}).cls, Browsability::kBoundedBrowsable);
+  // σ is resolved per source: another source's σ does not help.
+  EXPECT_EQ(ClassifyPlan(*plan, {"other"}).cls, Browsability::kBrowsable);
 }
 
 TEST(BrowsabilityTest, WildcardPathNotUpgradedBySigma) {
@@ -50,7 +54,7 @@ TEST(BrowsabilityTest, WildcardPathNotUpgradedBySigma) {
                                                   "R", "_*.zip", "Z"),
                          "Z", "W"),
       "W");
-  EXPECT_EQ(ClassifyPlan(*plan, /*sigma=*/true).cls, Browsability::kBrowsable);
+  EXPECT_EQ(ClassifyPlan(*plan, {"s"}).cls, Browsability::kBrowsable);
 }
 
 TEST(BrowsabilityTest, SelectionIsBrowsable) {
@@ -62,7 +66,7 @@ TEST(BrowsabilityTest, SelectionIsBrowsable) {
                                                       "x")),
           "A", "W"),
       "W");
-  auto report = ClassifyPlan(*plan, /*sigma=*/true);
+  auto report = ClassifyPlan(*plan, {"s"});
   EXPECT_EQ(report.cls, Browsability::kBrowsable);
   ASSERT_FALSE(report.reasons.empty());
 }
@@ -76,7 +80,7 @@ TEST(BrowsabilityTest, OrderByIsUnbrowsable) {
                             {"A"}),
           "A", "W"),
       "W");
-  auto report = ClassifyPlan(*plan, /*sigma=*/true);
+  auto report = ClassifyPlan(*plan, {"s"});
   EXPECT_EQ(report.cls, Browsability::kUnbrowsable);
 }
 
@@ -106,7 +110,7 @@ TEST(BrowsabilityTest, WorstOperatorDominates) {
               {"K1"}),
           "K1", "W"),
       "W");
-  auto report = ClassifyPlan(*plan, /*sigma=*/true);
+  auto report = ClassifyPlan(*plan, {"s1", "s2"});
   EXPECT_EQ(report.cls, Browsability::kUnbrowsable);
   EXPECT_GE(report.reasons.size(), 2u);
 }
@@ -118,7 +122,7 @@ TEST(BrowsabilityTest, Fig3PlanIsBrowsable) {
       "WHERE homesSrc homes.home $H AND $H zip._ $V1 "
       "AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2");
   auto plan = TranslateQuery(q.value()).ValueOrDie();
-  auto report = ClassifyPlan(*plan, /*sigma=*/true);
+  auto report = ClassifyPlan(*plan, {"homesSrc", "schoolsSrc"});
   // join + groupBy keep it (unbounded) browsable but never unbrowsable.
   EXPECT_EQ(report.cls, Browsability::kBrowsable);
 }

@@ -90,8 +90,9 @@ TEST(MaterializeOpTest, ClassifiedUnbrowsable) {
               mediator::PlanNode::Source("s", "R"), "R", "a", "A")),
           "A", "W"),
       "W");
-  auto report = mediator::Classify(*plan, mediator::BrowsabilityOptions{});
-  EXPECT_EQ(report.cls, mediator::Browsability::kUnbrowsable);
+  auto report = mediator::Classify(*plan, {});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().cls, mediator::Browsability::kUnbrowsable);
 }
 
 // ---------------------------------------------------------------------------

@@ -575,6 +575,60 @@ TEST(DeadlineTest, ServiceDeadlineCutsRetryAndLeavesSessionUsable) {
   EXPECT_EQ(snap.degraded_holes, 0);
 }
 
+// The deadline-cut session above still holds the answer shell its
+// operators memoized during the cut. A later clean full-depth export of it
+// must not publish that shell to the answer-view cache: a fresh session is
+// served the exact answer, not the shell.
+TEST(DeadlineTest, CutSessionNeverPublishesItsShellToAnswerViews) {
+  auto homes = testing::Doc(kHomes);
+  auto schools = testing::Doc(kSchools);
+  std::atomic<bool> failing{false};
+  SessionEnvironment env;
+  SessionEnvironment::WrapperOptions wo;
+  wo.retry.max_attempts = 1000;  // attempts never exhaust: only the deadline
+  wo.retry.initial_backoff_ns = 1 * kMs;
+  wo.retry.jitter = 0;
+  env.RegisterWrapperFactory(
+      "homesSrc",
+      [&failing, &homes]() -> std::unique_ptr<LxpWrapper> {
+        return std::make_unique<ToggleFailWrapper>(
+            std::make_unique<wrappers::XmlLxpWrapper>(homes.get()), &failing);
+      },
+      "homes.xml", wo);
+  env.RegisterWrapperFactory(
+      "schoolsSrc",
+      [&schools] {
+        return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+      },
+      "schools.xml", wo);
+  MediatorService::Options options;
+  options.answer_view_cache_bytes = 1 << 20;
+  MediatorService service(&env, options);
+
+  auto cut = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  NodeId root = cut->Root();
+  ASSERT_TRUE(root.valid());
+  failing = true;
+  cut->set_deadline_ns(50 * kMs);
+  std::vector<NodeId> kids;
+  cut->DownAll(root, &kids);
+  EXPECT_EQ(cut->last_status().code(), Status::Code::kDeadlineExceeded);
+
+  // Outage over: the cut session's full-depth export now completes with no
+  // source fault, but its content is the shell.
+  failing = false;
+  cut->set_deadline_ns(0);
+  cut->clear_last_status();
+  std::vector<SubtreeEntry> entries;
+  cut->FetchSubtree(root, -1, &entries);
+  EXPECT_TRUE(cut->last_status().ok());
+  EXPECT_EQ(service.Metrics().view_publishes, 0);
+
+  auto fresh = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  EXPECT_EQ(testing::MaterializeToTerm(fresh.get()), kExpectedAnswer);
+  EXPECT_TRUE(fresh->last_status().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Client-side retry over a faulty wire.
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Plan-IR optimizer tests (DESIGN.md §6): per-pass units over the IR,
+// Plan optimizer tests (DESIGN.md §6): the plan analysis, per-pass units
+// (each run through a PassManager holding only the pass under test),
 // golden per-pass dumps, and end-to-end byte-equality of optimized vs.
 // level-0 plans across the Fig. 3 query family, stacked mediators, and the
 // PR 4 fault matrix — plus the NavStats guarantee that an optimized plan
@@ -15,9 +16,10 @@
 #include "buffer/buffer.h"
 #include "client/framed_document.h"
 #include "mediator/instantiate.h"
-#include "mediator/ir.h"
+#include "mediator/browsability.h"
 #include "mediator/passes/pass.h"
 #include "mediator/plan_cache.h"
+#include "mediator/reference_eval.h"
 #include "mediator/plan_text.h"
 #include "mediator/translate.h"
 #include "service/service.h"
@@ -102,36 +104,30 @@ rdb::Database MakeRealtyDb(int rows) {
 }
 
 // ---------------------------------------------------------------------------
-// IR plumbing
+// Plan analysis and the one-clone OptimizePlan
 // ---------------------------------------------------------------------------
 
-TEST(PlanIrTest, RoundTripPreservesPlanText) {
+TEST(PlanAnalysisTest, AnalyzeAnnotatesSchemaSourcesAndClass) {
   PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
-  EXPECT_EQ(IrToPlan(*ir)->ToString(), plan->ToString());
-}
-
-TEST(PlanIrTest, AnalyzeAnnotatesSchemaSourcesAndClass) {
-  PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
+  auto analysis = AnalyzePlan(*plan, {});
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
   // Root is tupleDestroy (document, no schema); its subtree sees both
   // sources, and without σ the join plan is merely browsable.
-  EXPECT_TRUE(ir->schema.empty());
-  EXPECT_EQ(ir->sources,
+  const NodeFacts& root = analysis.value().at(plan.get());
+  EXPECT_TRUE(root.schema.empty());
+  EXPECT_EQ(root.sources,
             (std::vector<std::string>{"homesSrc", "schoolsSrc"}));
-  EXPECT_EQ(ir->cls, Browsability::kBrowsable);
+  EXPECT_EQ(root.cls, Browsability::kBrowsable);
   // Schema flows: the stream under the root binds the constructed answer.
-  ASSERT_EQ(ir->children.size(), 1u);
-  EXPECT_FALSE(ir->children[0]->schema.empty());
+  ASSERT_EQ(plan->children.size(), 1u);
+  EXPECT_FALSE(analysis.value().at(plan->children[0].get()).schema.empty());
 }
 
-TEST(PlanIrTest, AnnotatedDumpRoundTripsThroughPlanText) {
+TEST(PlanAnalysisTest, AnnotatedDumpRoundTripsThroughPlanText) {
   PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
-  std::string annotated = DumpIr(*ir, /*annotate=*/true);
+  auto analysis = AnalyzePlan(*plan, {});
+  ASSERT_TRUE(analysis.ok());
+  std::string annotated = DumpAnnotatedPlan(*plan, analysis.value());
   ASSERT_NE(annotated.find('%'), std::string::npos);
   // plan_text strips the % annotations, so the dump stays machine-readable.
   auto parsed = ParsePlanText(annotated);
@@ -139,9 +135,150 @@ TEST(PlanIrTest, AnnotatedDumpRoundTripsThroughPlanText) {
   EXPECT_EQ(parsed.value()->ToString(), plan->ToString());
 }
 
+TEST(PlanAnalysisTest, OptimizeKeepsEveryOperatorParameter) {
+  // No pass rewrites these plans, so the optimized plan must be the input
+  // verbatim — including the parameters a hand-written copy could miss.
+  auto view = ParsePlanText(
+      "tupleDestroy[$W]\n"
+      "  wrapList[$V -> $W]\n"
+      "    cachedView[__answer_view -> $V, children]\n");
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  PlanPtr plan = std::move(view).ValueOrDie();
+  std::string before = plan->ToString();
+  ASSERT_TRUE(OptimizePlan(&plan, OptimizerOptions()).ok());
+  EXPECT_EQ(plan->ToString(), before);
+  const PlanNode* cached = FindKind(*plan, PlanNode::Kind::kCachedView);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_TRUE(cached->cached_view_children);
+
+  PlanPtr join = PlanNode::Join(
+      PlanNode::GetDescendants(PlanNode::Source("s1", "R1"), "R1", "a.k",
+                               "K1"),
+      PlanNode::GetDescendants(PlanNode::Source("s2", "R2"), "R2", "b.k",
+                               "K2"),
+      BindingPredicate::VarVar("K1", CompareOp::kEq, "K2"));
+  join->join_index_inner = true;
+  PlanPtr join_plan = PlanNode::TupleDestroy(
+      PlanNode::WrapList(std::move(join), "K1", "W"), "W");
+  ASSERT_TRUE(OptimizePlan(&join_plan, OptimizerOptions()).ok());
+  const PlanNode* optimized = FindKind(*join_plan, PlanNode::Kind::kJoin);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(optimized->join_index_inner);
+}
+
 // ---------------------------------------------------------------------------
 // Per-pass units
 // ---------------------------------------------------------------------------
+
+/// Runs a PassManager holding only `pass` over `*plan`; returns the number
+/// of rewrites it applied (-1 if the run failed).
+int RunPass(std::unique_ptr<passes::Pass> pass, PlanPtr* plan,
+            const OptimizerOptions& options = OptimizerOptions()) {
+  passes::PassManager pm;
+  pm.Add(std::move(pass));
+  auto report = pm.Run(plan, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.value().total() : -1;
+}
+
+int CountSigma(const PlanNode& n) {
+  int c = n.kind == PlanNode::Kind::kGetDescendants && n.use_sigma ? 1 : 0;
+  for (const PlanPtr& child : n.children) c += CountSigma(*child);
+  return c;
+}
+
+TEST(PassTest, SigmaEnabledOnLabelChains) {
+  PlanPtr plan = Compile(
+      "CONSTRUCT <a> $H {$H} </a> {} "
+      "WHERE src homes.home $H AND $H zip._ $V");
+  OptimizerOptions options;
+  options.sources["src"].sigma = true;
+  // homes.home is a chain; zip._ is not.
+  EXPECT_EQ(RunPass(passes::MakeBrowsabilityPass(), &plan, options), 1);
+  EXPECT_EQ(CountSigma(*plan), 1);
+}
+
+TEST(PassTest, SigmaNotEnabledWithoutCapableSources) {
+  PlanPtr plan =
+      Compile("CONSTRUCT <a> $H {$H} </a> {} WHERE src homes.home $H");
+  EXPECT_EQ(RunPass(passes::MakeBrowsabilityPass(), &plan), 0);
+  EXPECT_EQ(CountSigma(*plan), 0);
+}
+
+TEST(PassTest, SelectPushedBelowJoin) {
+  // Build select(join(...)) by hand.
+  PlanPtr left = PlanNode::GetDescendants(PlanNode::Source("s1", "R1"), "R1",
+                                          "a.k", "K1");
+  PlanPtr right = PlanNode::GetDescendants(PlanNode::Source("s2", "R2"), "R2",
+                                           "b.k", "K2");
+  PlanPtr join =
+      PlanNode::Join(std::move(left), std::move(right),
+                     BindingPredicate::VarVar("K1", CompareOp::kEq, "K2"));
+  PlanPtr plan = PlanNode::Select(
+      std::move(join), BindingPredicate::VarConst("K1", CompareOp::kGt, "5"));
+
+  EXPECT_GE(RunPass(passes::MakeSelectPushdownPass(), &plan), 1);
+  // The root is now the join; the select sits on the left side.
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kJoin);
+  EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kSelect);
+}
+
+TEST(PassTest, SelectPushedBelowGetDescendants) {
+  PlanPtr gd1 = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R",
+                                         "a.k", "K");
+  PlanPtr gd2 = PlanNode::GetDescendants(std::move(gd1), "K", "v._", "V");
+  PlanPtr plan = PlanNode::Select(
+      std::move(gd2), BindingPredicate::VarConst("K", CompareOp::kEq, "x"));
+
+  // The predicate mentions K but not V: it can sink below the V extraction
+  // (but not below K's own extraction).
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 1);
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kGetDescendants);
+  EXPECT_EQ(plan->out_var, "V");
+  EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kSelect);
+}
+
+TEST(PassTest, SelectPushedBelowGroupByOnGroupVars) {
+  PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
+                                        "A");
+  PlanPtr gd2 = PlanNode::GetDescendants(std::move(gd), "A", "v._", "V");
+  PlanPtr gb = PlanNode::GroupBy(std::move(gd2), {"A"}, "V", "L");
+  PlanPtr plan = PlanNode::Select(
+      std::move(gb), BindingPredicate::VarConst("A", CompareOp::kNe, "z"));
+
+  // Sinks below the groupBy *and* below the V extraction, stopping at A's
+  // own extraction.
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 2);
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kGroupBy);
+  EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kGetDescendants);
+  EXPECT_EQ(plan->children[0]->children[0]->kind, PlanNode::Kind::kSelect);
+}
+
+TEST(PassTest, SelectNotPushedWhenListVarInvolved) {
+  PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
+                                        "A");
+  PlanPtr plan = PlanNode::Select(
+      std::move(gd), BindingPredicate::VarConst("A", CompareOp::kEq, "x"));
+  // Predicate uses the getDescendants output: no pushdown possible.
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 0);
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kSelect);
+}
+
+TEST(PassTest, RedundantProjectRemoved) {
+  PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
+                                        "A");
+  PlanPtr plan = PlanNode::Project(std::move(gd), {"R", "A"});
+  EXPECT_EQ(RunPass(passes::MakeProjectPrunePass(), &plan), 1);
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kGetDescendants);
+}
+
+TEST(PassTest, NarrowingProjectKept) {
+  PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
+                                        "A");
+  PlanPtr plan = PlanNode::Project(std::move(gd), {"A"});
+  EXPECT_EQ(RunPass(passes::MakeProjectPrunePass(), &plan), 0);
+  EXPECT_EQ(plan->kind, PlanNode::Kind::kProject);
+}
 
 TEST(PassTest, FusionFusesSelectIntoGetDescendants) {
   PlanPtr plan = Compile(
@@ -176,8 +313,15 @@ TEST(PassTest, FusionFusesSelectIntoGetDescendants) {
   s2.Register("homesSrc", &nav2);
   auto opt = LazyMediator::Build(*plan, s1).ValueOrDie();
   auto raw = LazyMediator::Build(*baseline, s2).ValueOrDie();
-  EXPECT_EQ(testing::MaterializeToTerm(opt->document()),
-            testing::MaterializeToTerm(raw->document()));
+  std::string expected = testing::MaterializeToTerm(raw->document());
+  EXPECT_EQ(testing::MaterializeToTerm(opt->document()), expected);
+
+  // The reference evaluator applies the fused filter too.
+  xml::Document scratch;
+  auto reference =
+      EvaluateReference(*plan, {{"homesSrc", homes->root()}}, &scratch);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(xml::ToTerm(reference.value()), expected);
 }
 
 TEST(PassTest, DeadConstructorEliminated) {
@@ -264,42 +408,41 @@ TEST(PassTest, BrowsabilityPassRespectsPerSourceCapability) {
 }
 
 TEST(PassTest, JoinReorderRotatesByFanoutAndPreservesAnswer) {
-  // join_p(join_q(A, B), C) where q is a non-equality pairing and p an
-  // equality over B- and C-variables only: rotating p inward is legal and
-  // its estimate is lower, so the reorder fires.
-  auto build = [] {
-    PlanPtr a = PlanNode::GetDescendants(
-        PlanNode::GetDescendants(PlanNode::Source("homesSrc", "RA"), "RA",
-                                 "homes.home", "HA"),
-        "HA", "zip._", "A");
-    PlanPtr b = PlanNode::GetDescendants(
-        PlanNode::GetDescendants(PlanNode::Source("homesSrc2", "RB"), "RB",
-                                 "homes.home", "HB"),
-        "HB", "zip._", "B");
-    PlanPtr c = PlanNode::GetDescendants(
-        PlanNode::GetDescendants(PlanNode::Source("schoolsSrc", "RC"), "RC",
-                                 "schools.school", "SC"),
-        "SC", "zip._", "C");
-    PlanPtr inner = PlanNode::Join(
-        std::move(a), std::move(b),
-        BindingPredicate::VarVar("A", CompareOp::kNe, "B"));
-    PlanPtr outer = PlanNode::Join(
-        std::move(inner), std::move(c),
-        BindingPredicate::VarVar("B", CompareOp::kEq, "C"));
+  // Both mirrored shapes, where q is a non-equality pairing and p an
+  // equality whose variables stay bound after the rotation, so rotating p
+  // inward is legal, its estimate is lower, and the reorder fires:
+  //   inner_left:  join_p(join_q(A, B), C), p reads B and C;
+  //   !inner_left: join_p(A, join_q(B, C)), p reads A and B.
+  auto extract = [](const char* src, const char* root, const char* path,
+                    const char* rec, const char* out) {
+    return PlanNode::GetDescendants(
+        PlanNode::GetDescendants(PlanNode::Source(src, root), root, path,
+                                 rec),
+        rec, "zip._", out);
+  };
+  auto build = [&extract](bool inner_left) {
+    PlanPtr a = extract("homesSrc", "RA", "homes.home", "HA", "A");
+    PlanPtr b = extract("homesSrc2", "RB", "homes.home", "HB", "B");
+    PlanPtr c = extract("schoolsSrc", "RC", "schools.school", "SC", "C");
+    PlanPtr outer;
+    if (inner_left) {
+      PlanPtr inner = PlanNode::Join(
+          std::move(a), std::move(b),
+          BindingPredicate::VarVar("A", CompareOp::kNe, "B"));
+      outer = PlanNode::Join(
+          std::move(inner), std::move(c),
+          BindingPredicate::VarVar("B", CompareOp::kEq, "C"));
+    } else {
+      PlanPtr inner = PlanNode::Join(
+          std::move(b), std::move(c),
+          BindingPredicate::VarVar("B", CompareOp::kNe, "C"));
+      outer = PlanNode::Join(
+          std::move(a), std::move(inner),
+          BindingPredicate::VarVar("A", CompareOp::kEq, "B"));
+    }
     PlanPtr wrap = PlanNode::WrapList(std::move(outer), "A", "L");
     return PlanNode::TupleDestroy(std::move(wrap), "L");
   };
-  PlanPtr plan = build();
-  PlanPtr baseline = build();
-
-  OptimizerOptions options;
-  auto report = OptimizePlan(&plan, options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().applied("join_reorder"), 1);
-  // The equality join moved inward: the root join is now the != pairing.
-  const PlanNode* join = FindKind(*plan, PlanNode::Kind::kJoin);
-  ASSERT_NE(join, nullptr);
-  EXPECT_EQ(join->predicate->op(), CompareOp::kNe);
 
   auto homes = testing::Doc(kHomes);
   auto schools = testing::Doc(kSchools);
@@ -312,8 +455,19 @@ TEST(PassTest, JoinReorderRotatesByFanoutAndPreservesAnswer) {
     auto med = LazyMediator::Build(p, reg).ValueOrDie();
     return testing::MaterializeToTerm(med->document());
   };
-  // Reassociation preserves leaf order, so the answer is byte-identical.
-  EXPECT_EQ(run(*plan), run(*baseline));
+  for (bool inner_left : {true, false}) {
+    PlanPtr plan = build(inner_left);
+    PlanPtr baseline = build(inner_left);
+    auto report = OptimizePlan(&plan, OptimizerOptions());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().applied("join_reorder"), 1) << inner_left;
+    // The equality join moved inward: the root join is now the != pairing.
+    const PlanNode* join = FindKind(*plan, PlanNode::Kind::kJoin);
+    ASSERT_NE(join, nullptr);
+    EXPECT_EQ(join->predicate->op(), CompareOp::kNe) << inner_left;
+    // Reassociation preserves leaf order, so the answer is byte-identical.
+    EXPECT_EQ(run(*plan), run(*baseline)) << inner_left;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -569,6 +723,28 @@ TEST(EndToEndTest, OptimizedAnswersAreByteIdenticalAndNavigateNoMore) {
     // skip; the unoptimized loop pays r+f per skipped sibling).
     EXPECT_LE(opt.stats.total(), raw.stats.total()) << q;
   }
+}
+
+TEST(EndToEndTest, RewrittenPlanIsEquivalent) {
+  PlanPtr plan = Compile(kFig3);
+  PlanPtr rewritten = plan->Clone();
+  OptimizerOptions options;
+  options.sources["homesSrc"].sigma = true;
+  options.sources["schoolsSrc"].sigma = true;
+  ASSERT_TRUE(OptimizePlan(&rewritten, options).ok());
+
+  auto homes = xml::MakeHomesDoc(15, 3);
+  auto schools = xml::MakeSchoolsDoc(15, 3);
+  xml::DocNavigable homes_nav(homes.get());
+  xml::DocNavigable schools_nav(schools.get());
+  SourceRegistry sources;
+  sources.Register("homesSrc", &homes_nav);
+  sources.Register("schoolsSrc", &schools_nav);
+
+  auto before = LazyMediator::Build(*plan, sources).ValueOrDie();
+  auto after = LazyMediator::Build(*rewritten, sources).ValueOrDie();
+  EXPECT_EQ(testing::MaterializeToTerm(before->document()),
+            testing::MaterializeToTerm(after->document()));
 }
 
 TEST(EndToEndTest, StackedMediatorsAgreeUnderOptimization) {

@@ -110,5 +110,15 @@ TEST(PlanTextTest, Errors) {
   EXPECT_FALSE(ParsePlanText("select[oops]\n  source[s -> $X]").ok());
 }
 
+TEST(PlanTextTest, CloneIsDeepAndEqualRendering) {
+  auto q = xmas::ParseQuery(
+      "CONSTRUCT <a> $H {$H} </a> {} WHERE src homes.home $H");
+  PlanPtr plan = TranslateQuery(q.value()).ValueOrDie();
+  PlanPtr clone = plan->Clone();
+  EXPECT_EQ(plan->ToString(), clone->ToString());
+  clone->children[0]->label = "changed";
+  EXPECT_NE(plan->ToString(), clone->ToString());
+}
+
 }  // namespace
 }  // namespace mix::mediator

@@ -6,7 +6,7 @@
 
 #include "mediator/instantiate.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "test_util.h"
 #include "xml/doc_navigable.h"
 #include "xml/random_tree.h"
@@ -191,18 +191,32 @@ TEST_P(RandomPlanTest, LazyEqualsReference) {
         << "seed=" << GetParam() << " round=" << round << "\n"
         << plan->ToString();
 
-    // And rewriting must not change the answer either.
-    PlanPtr rewritten = plan->Clone();
-    RewriteOptions options;
-    options.sigma_capable_sources = true;
-    Rewrite(&rewritten, options);
+    // The full default pipeline, with σ declared per source, must not
+    // change the answer either: the optimized lazy answer equals the
+    // reference evaluation of the original plan.
+    PlanPtr optimized = plan->Clone();
+    passes::OptimizerOptions options;
+    options.sources["src1"].sigma = true;
+    options.sources["src2"].sigma = true;
+    auto report = passes::OptimizePlan(&optimized, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
     xml::DocNavigable nav1b(doc1.get());
     xml::DocNavigable nav2b(doc2.get());
     SourceRegistry sources_b;
     sources_b.Register("src1", &nav1b);
     sources_b.Register("src2", &nav2b);
-    auto med_b = LazyMediator::Build(*rewritten, sources_b).ValueOrDie();
-    EXPECT_EQ(lazy, testing::MaterializeToTerm(med_b->document()))
+    auto med_b = LazyMediator::Build(*optimized, sources_b).ValueOrDie();
+    std::string optimized_lazy = testing::MaterializeToTerm(med_b->document());
+    EXPECT_EQ(optimized_lazy, xml::ToTerm(answer.value()))
+        << "seed=" << GetParam() << " round=" << round << "\n"
+        << optimized->ToString();
+    EXPECT_EQ(optimized_lazy, lazy)
+        << "seed=" << GetParam() << " round=" << round;
+    // The reference evaluator reads the optimized plan the same way.
+    xml::Document scratch_b;
+    auto answer_b = EvaluateReference(*optimized, ref, &scratch_b);
+    ASSERT_TRUE(answer_b.ok()) << answer_b.status().ToString();
+    EXPECT_EQ(xml::ToTerm(answer_b.value()), xml::ToTerm(answer.value()))
         << "seed=" << GetParam() << " round=" << round;
   }
 }
