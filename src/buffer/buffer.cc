@@ -266,7 +266,10 @@ void BufferComponent::PublishFill(const std::string& hole_id,
 
 Status BufferComponent::FillHole(BNode* hole, bool background) {
   MIX_CHECK(hole->is_hole);
-  if (!background && ConsumeInflight(hole)) return Status::OK();
+  if (!background && ConsumeInflight(hole)) {
+    MaybeIssueReadahead();
+    return Status::OK();
+  }
   if (TrySpliceFromCache(hole)) return Status::OK();
   const std::string hole_id = hole->hole_id;
   Status s = RunWithRetry(background, [&]() {
@@ -299,7 +302,7 @@ Status BufferComponent::FillHole(BNode* hole, bool background) {
 
 Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
                                        const FillBudget& budget,
-                                       bool background) {
+                                       bool background, bool cohort) {
   if (holes.empty()) return Status::OK();
   std::vector<BNode*> wire_holes;
   wire_holes.reserve(holes.size());
@@ -308,13 +311,22 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     // has; only the remainder crosses the wire. Splicing a hit can only
     // ADD holes elsewhere in the tree, never invalidate the other
     // requested BNodes (arena pointers are stable and each hole splices in
-    // place).
+    // place). The window is topped up once, after the batch: topping it up
+    // per consumed flight would put the next requested hole in flight only
+    // to wait on it at once, one round trip per hole.
+    bool consumed = false;
     for (BNode* h : holes) {
       MIX_CHECK(h->is_hole);
-      if (!background && ConsumeInflight(h)) continue;
+      if (!background && ConsumeInflight(h)) {
+        consumed = true;
+        continue;
+      }
       if (!TrySpliceFromCache(h)) wire_holes.push_back(h);
     }
-    if (wire_holes.empty()) return Status::OK();
+    if (wire_holes.empty()) {
+      if (consumed) MaybeIssueReadahead();
+      return Status::OK();
+    }
   } else {
     wire_holes = holes;
   }
@@ -362,7 +374,7 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     return Status::OK();
   });
   if (!background) demand_fill_in_command_ = true;
-  if (!s.ok() && s.code() != Status::Code::kDeadlineExceeded) {
+  if (!s.ok() && !cohort && s.code() != Status::Code::kDeadlineExceeded) {
     for (BNode* h : wire_holes) {
       if (h->is_hole) MarkUnavailable(h);
     }
@@ -372,6 +384,46 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
   // while the caller consumes the spliced data.
   if (s.ok() && !background) MaybeIssueReadahead();
   return s;
+}
+
+void BufferComponent::OpenCohort(BNode* p) {
+  auto lone_hole = [](const BNode* n) {
+    return n->children.size() == 1 && n->children[0]->is_hole;
+  };
+  BNode* parent = p->parent;
+  if (parent == nullptr) return;
+  const bool continues = p->pos > 0 && last_descent_ != nullptr &&
+                         parent->children[static_cast<size_t>(p->pos) - 1] ==
+                             last_descent_;
+  if (!lone_hole(p)) {
+    // Already open (a cohort member, or inline): the streak carries on
+    // through it without an exchange.
+    if (continues) last_descent_ = p;
+    return;
+  }
+  last_descent_ = p;
+  cohort_width_ =
+      continues ? std::min<int64_t>(cohort_width_ * 2,
+                                    static_cast<int64_t>(parent->children.size()))
+                : 1;
+  std::vector<BNode*> holes = {p->children[0]};
+  for (size_t i = static_cast<size_t>(p->pos) + 1;
+       i < parent->children.size() &&
+       static_cast<int64_t>(holes.size()) < cohort_width_;
+       ++i) {
+    const BNode* sibling = parent->children[i];
+    if (!lone_hole(sibling)) break;  // also stops at a continuation hole
+    holes.push_back(sibling->children[0]);
+  }
+  if (holes.size() == 1) return;  // the demand path fills p alone
+  // No chasing: each member gets exactly the fill a lone demand would. A
+  // failure degrades nothing; ChaseFirst then finds p's hole still open
+  // and runs the single-hole retry/degrade path, so answers and typed
+  // errors are those of a cohort-free run.
+  FillHolesBatch(holes,
+                 FillBudget{/*elements=*/-1,
+                            /*fills=*/static_cast<int64_t>(holes.size())},
+                 /*background=*/false, /*cohort=*/true);
 }
 
 Status BufferComponent::CompleteChildList(BNode* parent) {
@@ -580,7 +632,6 @@ bool BufferComponent::ConsumeInflight(BNode* hole) {
   }
   ++readahead_hits_;
   demand_fill_in_command_ = true;
-  MaybeIssueReadahead();
   return true;
 }
 
@@ -717,6 +768,7 @@ std::optional<NodeId> BufferComponent::Down(const NodeId& p) {
     Latch(Status::Unavailable("subtree unavailable: fill retries exhausted"));
     return std::nullopt;
   }
+  OpenCohort(n);
   BNode* child = nullptr;
   Status s = ChaseFirst(n, 0, &child);
   if (!s.ok()) Latch(s);

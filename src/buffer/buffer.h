@@ -282,8 +282,19 @@ class BufferComponent : public Navigable {
   /// command deadline. Folds the outcome into the fault counters.
   Status RunWithRetry(bool background, const std::function<Status()>& op);
   Status FillHole(BNode* hole, bool background);
+  /// One exchange for `holes`. A failure degrades every hole that crossed
+  /// the wire, except in a `cohort` batch (see OpenCohort): there nothing
+  /// degrades, and the demanded hole is left to the single-hole path.
   Status FillHolesBatch(const std::vector<BNode*>& holes,
-                        const FillBudget& budget, bool background);
+                        const FillBudget& budget, bool background,
+                        bool cohort = false);
+  /// Sibling-cohort fill coalescing, run by Down(p) before it resolves p's
+  /// first child. When p's child list is a lone hole, the demand exchange
+  /// also carries the lone-hole child lists of p's following siblings
+  /// already buffered — as many as the cohort width, which starts at 1,
+  /// doubles each time the descent continues from the sibling the last
+  /// descent opened, and resets to 1 on any other descent.
+  void OpenCohort(BNode* p);
   /// Batch-fills until `parent`'s child list contains no holes (degraded
   /// holes count as done). Returns the first error; stops early only on
   /// kDeadlineExceeded (nothing was degraded, so looping cannot progress).
@@ -314,7 +325,8 @@ class BufferComponent : public Navigable {
   /// waits (unless the command deadline already passed), validates the
   /// response against the CURRENT hole set and splices through the same
   /// path as a demand batch. False → caller falls back to the sync demand
-  /// path (which owns retry/degradation semantics).
+  /// path (which owns retry/degradation semantics). The caller tops the
+  /// window up afterwards.
   bool ConsumeInflight(BNode* hole);
   /// Applies every pending mailbox delivery (validated push splices);
   /// called at each command start, before navigation resolves.
@@ -380,6 +392,10 @@ class BufferComponent : public Navigable {
   Status last_status_;
   /// True while the current client command has triggered a demand fill.
   bool demand_fill_in_command_ = false;
+  /// Cohort state (OpenCohort): the element the last descent opened and
+  /// the width of the last cohort.
+  const BNode* last_descent_ = nullptr;
+  int64_t cohort_width_ = 1;
 };
 
 }  // namespace mix::buffer

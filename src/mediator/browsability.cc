@@ -19,6 +19,15 @@ const char* BrowsabilityName(Browsability b) {
   return "?";
 }
 
+namespace {
+
+std::string SelectReason(const algebra::BindingPredicate& predicate) {
+  return "select[" + predicate.ToString() +
+         "]: scan to the next satisfying binding is unbounded";
+}
+
+}  // namespace
+
 Browsability ClassifyOperator(const PlanNode& node, bool sigma,
                               std::string* reason) {
   using Kind = PlanNode::Kind;
@@ -41,20 +50,25 @@ Browsability ClassifyOperator(const PlanNode& node, bool sigma,
     case Kind::kGetDescendants: {
       auto path = pathexpr::PathExpr::Parse(node.path);
       bool chain = path.ok() && path.value().IsLabelChain();
-      if (chain && (node.use_sigma || sigma)) {
-        // One σ per level retrieves the next match: bounded (Section 2).
-        break;
+      // One σ per level retrieves the next match: bounded (Section 2).
+      if (!chain || !(node.use_sigma || sigma)) {
+        cls = Browsability::kBrowsable;
+        why = "getDescendants[" + node.path +
+              "]: sibling scan length depends on the data" +
+              (chain ? " (σ would make it bounded)" : "");
       }
-      cls = Browsability::kBrowsable;
-      why = "getDescendants[" + node.path +
-            "]: sibling scan length depends on the data" +
-            (chain ? " (σ would make it bounded)" : "");
+      if (node.predicate.has_value()) {
+        // A fused select keeps its cost: σ finds the next match, not the
+        // next one that satisfies the filter.
+        cls = Browsability::kBrowsable;
+        if (!why.empty()) why += "; ";
+        why += SelectReason(*node.predicate);
+      }
       break;
     }
     case Kind::kSelect:
       cls = Browsability::kBrowsable;
-      why = "select[" + node.predicate->ToString() +
-            "]: scan to the next satisfying binding is unbounded";
+      why = SelectReason(*node.predicate);
       break;
     case Kind::kJoin:
       cls = Browsability::kBrowsable;
@@ -179,6 +193,7 @@ Status Analyze(const PlanNode& n, const SourceCapabilities& caps,
       sigma = c != caps.end() && c->second.sigma;
     }
   }
+  f.sigma_scan = sigma && IsLabelChain(n.path);
   f.self_cls = ClassifyOperator(n, sigma, &f.reason);
   f.cls = f.self_cls;
   for (const NodeFacts* k : kids) f.cls = Worse(f.cls, k->cls);

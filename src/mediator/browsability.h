@@ -87,6 +87,10 @@ struct NodeFacts {
   Browsability cls = Browsability::kBoundedBrowsable;
   /// Why self_cls is worse than bounded ("" when it is not).
   std::string reason;
+  /// getDescendants only: a label chain over a σ-capable source, so σ
+  /// sibling scans reach each next match in one exchange — whether or not
+  /// a fused filter keeps the operator browsable.
+  bool sigma_scan = false;
   /// Estimated output cardinality (arbitrary units; only ratios matter).
   double fanout = 1.0;
 };

@@ -4,7 +4,8 @@
 // σ-capability is resolved per source by AnalyzePlan through variable
 // provenance — a plan mixing relational and CSV legs only upgrades the
 // legs whose wrapper answers σ. The analysis already classifies such a
-// node as bounded; this pass makes the plan say so.
+// node as bounded (unless a fused filter keeps it browsable); this pass
+// makes the plan say so.
 #include "mediator/passes/pass.h"
 
 namespace mix::mediator::passes {
@@ -24,7 +25,7 @@ class BrowsabilityPass : public Pass {
   int Walk(PlanNode* node, const PlanAnalysis& analysis) {
     int changes = 0;
     if (node->kind == PlanNode::Kind::kGetDescendants && !node->use_sigma &&
-        analysis.at(node).self_cls == Browsability::kBoundedBrowsable) {
+        analysis.at(node).sigma_scan) {
       node->use_sigma = true;
       ++changes;
     }

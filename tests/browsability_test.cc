@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "mediator/browsability.h"
+#include "mediator/passes/pass.h"
+#include "mediator/plan_text.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 
@@ -69,6 +71,70 @@ TEST(BrowsabilityTest, SelectionIsBrowsable) {
   auto report = ClassifyPlan(*plan, {"s"});
   EXPECT_EQ(report.cls, Browsability::kBrowsable);
   ASSERT_FALSE(report.reasons.empty());
+}
+
+// The zip lookup `mixql --algebra --analyze` reads: a select fused into a
+// label-chain getDescendants over a σ source. σ reaches the next zip in one
+// exchange, but not the next zip equal to '91220', so the view stays
+// browsable and keeps the select's reason.
+const char* kFusedZipLookup =
+    "tupleDestroy[$W]\n"
+    "  wrapList[$Z -> $W]\n"
+    "    getDescendants[$R,homes.home.zip -> $Z, sigma, where $Z='91220']\n"
+    "      source[homesSrc -> $R]\n";
+
+TEST(BrowsabilityTest, FusedFilterOverSigmaSourceIsBrowsable) {
+  auto plan = ParsePlanText(kFusedZipLookup);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto report = ClassifyPlan(*plan.value(), {"homesSrc"});
+  EXPECT_EQ(report.cls, Browsability::kBrowsable);
+  EXPECT_EQ(report.reasons,
+            std::vector<std::string>{"select[$Z='91220']: scan to the next "
+                                     "satisfying binding is unbounded"});
+
+  // The same σ scan without the filter is bounded.
+  PlanNode* gd = plan.value()->children[0]->children[0].get();
+  ASSERT_EQ(gd->kind, PlanNode::Kind::kGetDescendants);
+  gd->predicate.reset();
+  EXPECT_EQ(ClassifyPlan(*plan.value(), {"homesSrc"}).cls,
+            Browsability::kBoundedBrowsable);
+}
+
+// The browsability pass still turns σ on under a fused filter: σ shortens
+// the scan even where it cannot bound it.
+TEST(BrowsabilityTest, PassEnablesSigmaUnderFusedFilter) {
+  std::string text = kFusedZipLookup;
+  text.erase(text.find(", sigma"), 7);
+  auto plan = ParsePlanText(text);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  passes::OptimizerOptions options;
+  options.sources["homesSrc"].sigma = true;
+  ASSERT_TRUE(passes::OptimizePlan(&plan.value(), options).ok());
+  EXPECT_EQ(plan.value()->ToString(), kFusedZipLookup);
+}
+
+// Fusion moves a select into the getDescendants below it; the select's
+// reason must survive the move.
+TEST(BrowsabilityTest, FusedSelectKeepsItsReason) {
+  auto q = xmas::ParseQuery(
+      "CONSTRUCT <expensive> $N {$N} </expensive> {} "
+      "WHERE cat catalog.item $I AND $I name._ $N AND $I price._ $P "
+      "AND $P > 50");
+  ASSERT_TRUE(q.ok());
+  PlanPtr plan = TranslateQuery(q.value()).ValueOrDie();
+  passes::OptimizerOptions options;
+  options.sources["cat"].sigma = true;
+  auto optimized = passes::OptimizePlan(&plan, options);
+  ASSERT_TRUE(optimized.ok());
+  ASSERT_GT(optimized.value().applied("fusion"), 0);
+  auto report = ClassifyPlan(*plan, {"cat"});
+  EXPECT_EQ(report.cls, Browsability::kBrowsable);
+  bool select_reason = false;
+  for (const std::string& reason : report.reasons) {
+    select_reason = select_reason ||
+                    reason.find("select[$P>'50']") != std::string::npos;
+  }
+  EXPECT_TRUE(select_reason);
 }
 
 TEST(BrowsabilityTest, OrderByIsUnbrowsable) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "buffer/buffer.h"
 #include "buffer/lxp.h"
+#include "net/sim_net.h"
 #include "test_util.h"
+#include "wrappers/xml_lxp_wrapper.h"
 #include "xml/materialize.h"
 
 namespace mix::buffer {
@@ -207,6 +214,277 @@ TEST(BufferFaultTest, AllHoleFillRejectedWithStatus) {
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
   EXPECT_NE(s.message().find("only of holes"), std::string::npos);
   EXPECT_EQ(buffer.degraded_holes(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Sibling-cohort fill coalescing: a run of descents into consecutive
+// siblings whose child lists are lone holes shares doubling exchanges.
+// ---------------------------------------------------------------------------
+
+/// r[rec[k0,b,c,d], rec[k1,b,c,d], ...]: each 5-node record exceeds the XML
+/// wrapper's inline limit of 4, so it ships as rec[hole] — its child list
+/// is a lone hole until a descent opens it.
+std::unique_ptr<xml::Document> RecordsDoc(int n) {
+  std::string term = "r[";
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) term += ",";
+    term += "rec[k" + std::to_string(i) + ",b,c,d]";
+  }
+  return testing::Doc(term + "]");
+}
+
+/// Passes everything through and logs every hole id that crosses the wire.
+class WireLogWrapper : public LxpWrapper {
+ public:
+  explicit WireLogWrapper(LxpWrapper* inner) : inner_(inner) {}
+  std::string GetRoot(const std::string& uri) override {
+    return inner_->GetRoot(uri);
+  }
+  FragmentList Fill(const std::string& hole_id) override {
+    return inner_->Fill(hole_id);
+  }
+  Status TryFill(const std::string& hole_id, FragmentList* out) override {
+    log_.push_back(hole_id);
+    return inner_->TryFill(hole_id, out);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    log_.insert(log_.end(), holes.begin(), holes.end());
+    return inner_->TryFillMany(holes, budget, out);
+  }
+  const std::vector<std::string>& log() const { return log_; }
+
+ private:
+  LxpWrapper* inner_;
+  std::vector<std::string> log_;
+};
+
+/// Exchanges a sequential walk over `n` lone-hole siblings costs: cohorts
+/// of width 1, 2, 4, ... until the run is covered.
+int DoublingExchanges(int n) {
+  int exchanges = 0;
+  for (int covered = 0, width = 1; covered < n; covered += width, width *= 2) {
+    ++exchanges;
+  }
+  return exchanges;
+}
+
+/// Opens the record list of RecordsDoc's root; returns the first record.
+NodeId FirstRecord(BufferComponent* buffer) {
+  std::optional<NodeId> rec = buffer->Down(buffer->Root());
+  EXPECT_TRUE(rec.has_value());
+  return rec.value_or(NodeId());
+}
+
+TEST(CohortTest, SequentialDownWalkCostsDoublingExchanges) {
+  constexpr int kRecords = 20;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;  // one fill buffers every record
+  wrappers::XmlLxpWrapper wrapper(doc.get(), wo);
+  net::Channel channel(nullptr, net::ChannelOptions{});
+  BufferComponent::Options options;
+  options.channel = &channel;
+  BufferComponent buffer(&wrapper, "u", options);
+
+  NodeId rec = FirstRecord(&buffer);
+  channel.ResetStats();
+  const int64_t fills_before = buffer.fill_count();
+  for (int i = 0; i < kRecords; ++i) {
+    std::optional<NodeId> key = buffer.Down(rec);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(buffer.Fetch(*key), "k" + std::to_string(i));
+    if (i + 1 < kRecords) rec = buffer.Right(rec).value();
+  }
+  // Widths 1, 2, 4, 8 and the 5 records left: 5 request/response pairs.
+  EXPECT_EQ(DoublingExchanges(kRecords), 5);
+  EXPECT_EQ(channel.stats().messages, 2 * DoublingExchanges(kRecords));
+  // A walk to the end speculated nothing in vain.
+  EXPECT_EQ(buffer.fill_count() - fills_before, kRecords);
+  EXPECT_TRUE(buffer.TakeStatus().ok());
+}
+
+TEST(CohortTest, NonConsecutiveDescentsCostOneExchangeEach) {
+  constexpr int kRecords = 20;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;
+  wrappers::XmlLxpWrapper wrapper(doc.get(), wo);
+  net::Channel channel(nullptr, net::ChannelOptions{});
+  BufferComponent::Options options;
+  options.channel = &channel;
+  BufferComponent buffer(&wrapper, "u", options);
+
+  NodeId first = FirstRecord(&buffer);
+  std::vector<NodeId> recs = {first};
+  buffer.NextSiblings(first, -1, &recs);
+  ASSERT_EQ(recs.size(), static_cast<size_t>(kRecords));
+  channel.ResetStats();
+  const int64_t fills_before = buffer.fill_count();
+  // Every other record of the first half: no descent continues from the
+  // previous sibling.
+  int descents = 0;
+  for (int i = 0; i < kRecords / 2; i += 2, ++descents) {
+    std::optional<NodeId> key = buffer.Down(recs[static_cast<size_t>(i)]);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(buffer.Fetch(*key), "k" + std::to_string(i));
+  }
+  EXPECT_EQ(channel.stats().messages, 2 * descents);
+  EXPECT_EQ(buffer.fill_count() - fills_before, descents);
+
+  // A jump resets the width to 1; a run after it doubles again.
+  auto down_costs = [&](int i, int64_t messages, int64_t fills) {
+    channel.ResetStats();
+    const int64_t before = buffer.fill_count();
+    std::optional<NodeId> key = buffer.Down(recs[static_cast<size_t>(i)]);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(buffer.Fetch(*key), "k" + std::to_string(i));
+    EXPECT_EQ(channel.stats().messages, messages) << "record " << i;
+    EXPECT_EQ(buffer.fill_count() - before, fills) << "record " << i;
+  };
+  down_costs(12, 2, 1);  // jump: width 1
+  down_costs(13, 2, 2);  // continues: width 2 opens 13 and 14
+  down_costs(14, 0, 0);  // already open
+  down_costs(15, 2, 4);  // continues: width 4 opens 15..18
+  down_costs(1, 2, 1);   // jump back: width 1
+}
+
+/// Splits "[r[x,y[..],z]]" into the record terms x, y[..], z.
+std::vector<std::string> RecordTerms(const std::string& open_tree) {
+  const std::string prefix = "[r[";
+  EXPECT_EQ(open_tree.compare(0, prefix.size(), prefix), 0) << open_tree;
+  std::vector<std::string> out;
+  std::string cur;
+  int depth = 0;
+  for (size_t i = prefix.size(); i + 2 < open_tree.size(); ++i) {
+    char c = open_tree[i];
+    if (c == ',' && depth == 0) {
+      out.push_back(cur);
+      cur.clear();
+      continue;
+    }
+    if (c == '[') ++depth;
+    if (c == ']') --depth;
+    cur += c;
+  }
+  out.push_back(cur);
+  return out;
+}
+
+// After every step of the walk, each record the one-hole-at-a-time run has
+// filled reads the same in the cohort run, and every record neither has
+// filled is the same hole: cohorts only fill ahead, never differently.
+TEST(CohortTest, OpenTreeMatchesOneHoleAtATimeRun) {
+  constexpr int kRecords = 20;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper cohort_wrapper(doc.get());  // chunk 8
+  wrappers::XmlLxpWrapper single_wrapper(doc.get());
+  BufferComponent cohort(&cohort_wrapper, "u");
+  BufferComponent single(&single_wrapper, "u");
+
+  NodeId c_rec = FirstRecord(&cohort);
+  NodeId s_rec = FirstRecord(&single);
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cohort.Down(c_rec).has_value());
+    // FetchSubtree never forms a cohort: it fills exactly this record.
+    std::vector<SubtreeEntry> entries;
+    single.FetchSubtree(s_rec, -1, &entries);
+    std::vector<std::string> c_terms = RecordTerms(cohort.OpenTreeTerm());
+    std::vector<std::string> s_terms = RecordTerms(single.OpenTreeTerm());
+    ASSERT_EQ(c_terms.size(), s_terms.size()) << "step " << i;
+    for (size_t j = 0; j < c_terms.size(); ++j) {
+      const bool only_cohort_filled =
+          c_terms[j].find("hole[") == std::string::npos &&
+          s_terms[j].find("hole[") != std::string::npos;
+      if (!only_cohort_filled) {
+        EXPECT_EQ(c_terms[j], s_terms[j]) << "step " << i << " record " << j;
+      }
+    }
+    if (i + 1 < kRecords) {
+      c_rec = cohort.Right(c_rec).value();
+      s_rec = single.Right(s_rec).value();
+    }
+  }
+  EXPECT_EQ(cohort.OpenTreeTerm(), single.OpenTreeTerm());
+  EXPECT_EQ(cohort.fill_count(), single.fill_count());
+}
+
+// Members the shared SourceCache already holds are spliced from it; only
+// the rest of the cohort crosses the wire.
+TEST(CohortTest, CachedMembersNeverCrossTheWire) {
+  constexpr int kRecords = 12;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;
+  SourceCache cache;
+  BufferComponent::Options options;
+  options.source_cache = &cache;
+  options.cache_source = "recs";
+
+  // A first session opens records 1..2 and 4..5 by FetchSubtree, which
+  // publishes their fills.
+  wrappers::XmlLxpWrapper warm_inner(doc.get(), wo);
+  WireLogWrapper warm_wrapper(&warm_inner);
+  BufferComponent warm(&warm_wrapper, "u", options);
+  std::vector<NodeId> recs = {FirstRecord(&warm)};
+  warm.NextSiblings(recs[0], -1, &recs);
+  ASSERT_EQ(recs.size(), static_cast<size_t>(kRecords));
+  std::vector<std::string> warmed;
+  for (int i : {1, 2, 4, 5}) {
+    const size_t before = warm_wrapper.log().size();
+    std::vector<SubtreeEntry> entries;
+    warm.FetchSubtree(recs[static_cast<size_t>(i)], -1, &entries);
+    ASSERT_EQ(warm_wrapper.log().size(), before + 1);
+    warmed.push_back(warm_wrapper.log().back());
+  }
+
+  // The second session walks every record; its cohorts {1,2} and {3..6}
+  // contain the warmed holes.
+  wrappers::XmlLxpWrapper inner(doc.get(), wo);
+  WireLogWrapper wrapper(&inner);
+  BufferComponent buffer(&wrapper, "u", options);
+  NodeId rec = FirstRecord(&buffer);
+  for (int i = 0; i < kRecords; ++i) {
+    std::optional<NodeId> key = buffer.Down(rec);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(buffer.Fetch(*key), "k" + std::to_string(i));
+    if (i + 1 < kRecords) rec = buffer.Right(rec).value();
+  }
+  for (const std::string& id : warmed) {
+    EXPECT_EQ(std::count(wrapper.log().begin(), wrapper.log().end(), id), 0)
+        << id;
+  }
+  // Plus the root id, the root fill and the record list.
+  EXPECT_EQ(buffer.stats().cache_hits,
+            static_cast<int64_t>(warmed.size()) + 3);
+  EXPECT_EQ(buffer.fill_count(), kRecords + 2);
+}
+
+// Members a readahead flight already carries are answered from it: no hole
+// crosses the wire twice.
+TEST(CohortTest, InflightMembersNeverCrossTheWireTwice) {
+  constexpr int kRecords = 12;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;
+  wrappers::XmlLxpWrapper inner(doc.get(), wo);
+  WireLogWrapper wrapper(&inner);
+  BufferComponent::Options options;
+  options.max_in_flight = 2;
+  BufferComponent buffer(&wrapper, "u", options);
+
+  NodeId rec = FirstRecord(&buffer);
+  for (int i = 0; i < kRecords; ++i) {
+    std::optional<NodeId> key = buffer.Down(rec);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(buffer.Fetch(*key), "k" + std::to_string(i));
+    if (i + 1 < kRecords) rec = buffer.Right(rec).value();
+  }
+  std::vector<std::string> log = wrapper.log();
+  std::sort(log.begin(), log.end());
+  EXPECT_EQ(std::adjacent_find(log.begin(), log.end()), log.end());
+  EXPECT_GT(buffer.stats().readahead_hits, 0);
+  EXPECT_EQ(buffer.fill_count(), kRecords + 2);
 }
 
 }  // namespace

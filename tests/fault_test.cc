@@ -11,11 +11,15 @@
 //   * executor-deadline-vs-retry interaction — backoff never outlives the
 //     command budget, and a deadline-cut hole stays retryable;
 //   * client-side retry over a fault-injecting FrameTransport;
+//   * sibling-cohort batches under faults and deadlines — a failed cohort
+//     degrades no speculative hole, and OK answers equal the reference;
 //   * the command-path idle-TTL sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +29,8 @@
 #include "buffer/fault_wrapper.h"
 #include "buffer/lxp.h"
 #include "client/framed_document.h"
+#include "mediator/reference_eval.h"
+#include "mediator/translate.h"
 #include "net/fault.h"
 #include "net/sim_net.h"
 #include "service/fault_transport.h"
@@ -33,6 +39,9 @@
 #include "service/wire.h"
 #include "test_util.h"
 #include "wrappers/xml_lxp_wrapper.h"
+#include "xmas/parser.h"
+#include "xml/materialize.h"
+#include "xml/random_tree.h"
 
 namespace mix::service {
 namespace {
@@ -743,6 +752,188 @@ TEST(EvictionTest, CommandPathSweepsIdleSessions) {
   // The evicted session answers ⊥ / kNotFound, never crashes.
   EXPECT_FALSE(idle->Root().valid());
   EXPECT_EQ(idle->last_status().code(), Status::Code::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// Sibling-cohort batches under faults and deadlines.
+// ---------------------------------------------------------------------------
+
+/// Refuses every multi-hole exchange — every cohort batch — and serves
+/// single-hole ones.
+class FailCohortsWrapper : public LxpWrapper {
+ public:
+  explicit FailCohortsWrapper(LxpWrapper* inner) : inner_(inner) {}
+  std::string GetRoot(const std::string& uri) override {
+    return inner_->GetRoot(uri);
+  }
+  FragmentList Fill(const std::string& hole_id) override {
+    return inner_->Fill(hole_id);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    if (holes.size() > 1) {
+      ++refused_;
+      return Status::Unavailable("cohort refused");
+    }
+    return inner_->TryFillMany(holes, budget, out);
+  }
+  int refused() const { return refused_; }
+
+ private:
+  LxpWrapper* inner_;
+  int refused_ = 0;
+};
+
+/// Walks every home of the homes document with Down/Right, checking each
+/// descent against the document; returns the number of homes.
+int WalkHomes(BufferComponent* buf, const xml::Document& homes,
+              const std::function<void()>& before_descent) {
+  std::optional<NodeId> home = buf->Down(buf->Root());
+  int i = 0;
+  for (; home.has_value(); ++i, home = buf->Right(*home)) {
+    before_descent();
+    std::optional<NodeId> addr = buf->Down(*home);
+    EXPECT_TRUE(addr.has_value()) << "home " << i;
+    if (!addr.has_value()) break;
+    const xml::Node* expected = homes.root()->children[static_cast<size_t>(i)];
+    EXPECT_EQ(buf->Fetch(*addr), expected->children[0]->label);
+    EXPECT_TRUE(buf->TakeStatus().ok()) << "home " << i;
+  }
+  return i;
+}
+
+// A cohort batch that exhausts its retries degrades nothing: the demanded
+// hole falls back to the single-hole path, each speculative hole is filled
+// at its own descent, and the answer is exact with no latched error.
+TEST(CohortFaultTest, FailedCohortLeavesSpeculativeHolesFillable) {
+  auto homes = xml::MakeHomesDoc(16, 4);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;
+  wrappers::XmlLxpWrapper inner(homes.get(), wo);
+  FailCohortsWrapper wrapper(&inner);
+  net::SimClock clock;
+  BufferComponent::Options opts;
+  opts.clock = &clock;
+  opts.retry.max_attempts = 3;
+  opts.retry.jitter = 0;
+  BufferComponent buf(&wrapper, "homes.xml", opts);
+
+  EXPECT_EQ(WalkHomes(&buf, *homes, [] {}), 16);
+  EXPECT_GT(wrapper.refused(), 0);
+  BufferComponent::Stats st = buf.stats();
+  EXPECT_EQ(st.degraded_holes, 0);
+  EXPECT_EQ(st.faults, wrapper.refused());
+  EXPECT_EQ(st.holes_outstanding, 0);
+
+  wrappers::XmlLxpWrapper clean(homes.get());
+  BufferComponent baseline(&clean, "homes.xml");
+  EXPECT_EQ(testing::MaterializeToTerm(&buf),
+            testing::MaterializeToTerm(&baseline));
+}
+
+// A cohort batch whose retry backoff would overrun the command budget is
+// cut without degrading anything; the demanded hole still fills in the
+// same command, and the speculative holes stay open for their own descents.
+TEST(CohortFaultTest, DeadlineCutCohortLeavesSpeculativeHolesFillable) {
+  auto homes = xml::MakeHomesDoc(16, 4);
+  wrappers::XmlLxpWrapper::Options wo;
+  wo.chunk = 64;
+  wrappers::XmlLxpWrapper inner(homes.get(), wo);
+  FailCohortsWrapper wrapper(&inner);
+  net::SimClock clock;
+  BufferComponent::Options opts;
+  opts.clock = &clock;
+  opts.retry.max_attempts = 10;
+  opts.retry.initial_backoff_ns = 10 * kMs;
+  opts.retry.jitter = 0;
+  BufferComponent buf(&wrapper, "homes.xml", opts);
+
+  int64_t most_holes = 0;
+  EXPECT_EQ(WalkHomes(&buf, *homes,
+                      [&] {
+                        most_holes =
+                            std::max(most_holes, buf.holes_outstanding());
+                        buf.SetCommandBudgetNs(5 * kMs);
+                      }),
+            16);
+  EXPECT_GT(wrapper.refused(), 0);
+  BufferComponent::Stats st = buf.stats();
+  EXPECT_EQ(st.degraded_holes, 0);
+  EXPECT_EQ(st.backoff_ns, 0);  // no backoff ever fit the budget
+  EXPECT_EQ(st.holes_outstanding, 0);
+  EXPECT_EQ(most_holes, 16);  // every home opened by its own descent
+}
+
+// Service level, E13 faults at p=0.2 on both sources of the Fig. 3 join,
+// with and without retries and per-command deadlines: every session either
+// answers exactly the eager reference evaluation or reports a typed error.
+TEST(CohortFaultTest, OkAnswersEqualReferenceUnderFaults) {
+  auto homes = xml::MakeHomesDoc(24, 6);
+  auto schools = xml::MakeSchoolsDoc(24, 6);
+  auto query = xmas::ParseQuery(kFig3);
+  ASSERT_TRUE(query.ok());
+  auto plan = mediator::TranslateQuery(query.value());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  xml::Document scratch;
+  mediator::ReferenceSources ref{{"homesSrc", homes->root()},
+                                 {"schoolsSrc", schools->root()}};
+  auto answer = mediator::EvaluateReference(*plan.value(), ref, &scratch);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const std::string expected = xml::ToTerm(answer.value());
+
+  int ok = 0;
+  int errors = 0;
+  for (int attempts : {1, 10}) {
+    // A session spends some 20-30 ms of virtual link time on its
+    // exchanges, so a 25 ms budget cuts some of them and not others.
+    for (int64_t deadline_ns : {int64_t{0}, 25 * kMs}) {
+      SessionEnvironment env;
+      SessionEnvironment::WrapperOptions wo;
+      wo.fault.p_fail = 0.2;
+      wo.fault.p_truncate = 0.05;
+      wo.fault.p_garble = 0.05;
+      wo.fault.p_duplicate = 0.05;
+      wo.fault.p_delay = 0.2;
+      wo.retry.max_attempts = attempts;
+      wo.retry.initial_backoff_ns = kMs / 4;
+      env.RegisterWrapperFactory(
+          "homesSrc",
+          [&homes] {
+            return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
+          },
+          "homes.xml", wo);
+      env.RegisterWrapperFactory(
+          "schoolsSrc",
+          [&schools] {
+            return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+          },
+          "schools.xml", wo);
+      MediatorService service(&env, {});
+      for (int session = 0; session < 6; ++session) {
+        auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
+        doc->set_deadline_ns(deadline_ns);
+        // One full-depth fetch, rebuilt here: xml::Materialize aborts on a
+        // failed fetch instead of reporting it.
+        NodeId root = doc->Root();
+        std::vector<SubtreeEntry> entries;
+        if (root.valid()) doc->FetchSubtree(root, -1, &entries);
+        if (doc->last_status().ok()) {
+          ++ok;
+          xml::Document lazy_doc;
+          const xml::Node* lazy =
+              xml::BuildFromSubtreeEntries(entries, &lazy_doc);
+          ASSERT_NE(lazy, nullptr);
+          EXPECT_EQ(xml::ToTerm(lazy), expected) << "attempts=" << attempts
+                                    << " deadline=" << deadline_ns
+                                    << " session=" << session;
+        } else {
+          ++errors;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(errors, 0);
 }
 
 }  // namespace

@@ -57,6 +57,15 @@ GenStream GenerateStream(Rng* rng, const std::string& source_name,
         s.plan = PlanNode::GetDescendants(std::move(s.plan), anchor,
                                           kPaths[rng->Pick(9)], out);
         s.schema.push_back(out);
+        if (rng->Pick(3) == 0) {
+          // A select testing the output just bound: the fusion pass folds
+          // it into the getDescendants as its inline filter.
+          s.plan = PlanNode::Select(
+              std::move(s.plan),
+              algebra::BindingPredicate::VarConst(
+                  out, static_cast<algebra::CompareOp>(rng->Pick(6)),
+                  "t" + std::to_string(rng->Pick(20))));
+        }
         break;
       }
       case 3: {  // select var-const
@@ -157,6 +166,45 @@ PlanPtr GeneratePlan(Rng* rng) {
   return PlanNode::TupleDestroy(std::move(ce), "DOC");
 }
 
+constexpr uint64_t kFirstSeed = 1;
+constexpr uint64_t kSeedEnd = 25;
+constexpr int kRoundsPerSeed = 5;
+
+/// The default pipeline with σ declared on both sources.
+passes::OptimizerOptions SigmaEverywhere() {
+  passes::OptimizerOptions options;
+  options.sources["src1"].sigma = true;
+  options.sources["src2"].sigma = true;
+  return options;
+}
+
+bool HasFusedFilter(const PlanNode& node) {
+  if (node.kind == PlanNode::Kind::kGetDescendants &&
+      node.predicate.has_value()) {
+    return true;
+  }
+  for (const PlanPtr& c : node.children) {
+    if (HasFusedFilter(*c)) return true;
+  }
+  return false;
+}
+
+// The generator must reach the fusion pass, or the differential check
+// below never covers fused filters.
+TEST(RandomPlanGeneratorTest, FusionFiresOnListedSeeds) {
+  int fused = 0;
+  for (uint64_t seed = kFirstSeed; seed < kSeedEnd; ++seed) {
+    Rng rng(seed);
+    for (int round = 0; round < kRoundsPerSeed; ++round) {
+      PlanPtr plan = GeneratePlan(&rng);
+      ASSERT_FALSE(HasFusedFilter(*plan));
+      ASSERT_TRUE(passes::OptimizePlan(&plan, SigmaEverywhere()).ok());
+      if (HasFusedFilter(*plan)) ++fused;
+    }
+  }
+  EXPECT_GT(fused, 0);
+}
+
 class RandomPlanTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomPlanTest, LazyEqualsReference) {
@@ -171,7 +219,7 @@ TEST_P(RandomPlanTest, LazyEqualsReference) {
   tree_options.seed = GetParam() * 31 + 2;
   auto doc2 = xml::RandomTree(tree_options);
 
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round < kRoundsPerSeed; ++round) {
     PlanPtr plan = GeneratePlan(&rng);
     ASSERT_TRUE(ComputeSchema(*plan->children[0]).ok());
 
@@ -195,10 +243,7 @@ TEST_P(RandomPlanTest, LazyEqualsReference) {
     // change the answer either: the optimized lazy answer equals the
     // reference evaluation of the original plan.
     PlanPtr optimized = plan->Clone();
-    passes::OptimizerOptions options;
-    options.sources["src1"].sigma = true;
-    options.sources["src2"].sigma = true;
-    auto report = passes::OptimizePlan(&optimized, options);
+    auto report = passes::OptimizePlan(&optimized, SigmaEverywhere());
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     xml::DocNavigable nav1b(doc1.get());
     xml::DocNavigable nav2b(doc2.get());
@@ -222,7 +267,7 @@ TEST_P(RandomPlanTest, LazyEqualsReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPlanTest,
-                         ::testing::Range<uint64_t>(1, 25));
+                         ::testing::Range<uint64_t>(kFirstSeed, kSeedEnd));
 
 }  // namespace
 }  // namespace mix::mediator
