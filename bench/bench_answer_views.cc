@@ -109,7 +109,8 @@ struct Workload {
       auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
       xml::Document out;
       reference.push_back(
-          xml::ToTerm(xml::MaterializeInto(med->document(), &out)));
+          xml::ToTerm(
+              xml::MaterializeInto(med->document(), &out).ValueOrDie()));
     }
   }
 
@@ -142,7 +143,7 @@ struct Workload {
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 struct RunTally {
@@ -269,7 +270,8 @@ void BM_ViewMatchCost(benchmark::State& state) {
   sources.Register("schoolsSrc", &schools_nav);
   auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
   xml::Document answer;
-  xml::Node* answer_root = xml::MaterializeInto(med->document(), &answer);
+  xml::Node* answer_root =
+      xml::MaterializeInto(med->document(), &answer).ValueOrDie();
   answer.set_root(answer_root);
   xml::DocNavigable answer_nav(&answer);
   std::vector<SubtreeEntry> entries;

@@ -120,7 +120,8 @@ struct JoinWorkload {
     plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 };
 
@@ -171,7 +172,7 @@ void BM_AsyncFillJoinOverTcp(benchmark::State& state) {
     auto med =
         mediator::LazyMediator::Build(*workload->plan, sources).ValueOrDie();
     xml::Document out;
-    if (xml::ToTerm(xml::MaterializeInto(med->document(), &out)) !=
+    if (xml::ToTerm(xml::MaterializeInto(med->document(), &out).ValueOrDie()) !=
         workload->reference_term) {
       ++mismatches;
     }
@@ -223,7 +224,7 @@ void BM_BackgroundPrefetchWarm(benchmark::State& state) {
     auto doc = client::FramedDocument::Open(&ref_service, kScanQuery)
                    .ValueOrDie();
     xml::Document out;
-    reference = xml::ToTerm(xml::MaterializeInto(doc.get(), &out));
+    reference = xml::ToTerm(xml::MaterializeInto(doc.get(), &out).ValueOrDie());
   }
 
   int64_t sessions_done = 0;
@@ -251,7 +252,8 @@ void BM_BackgroundPrefetchWarm(benchmark::State& state) {
     auto doc =
         client::FramedDocument::Open(&service, kScanQuery).ValueOrDie();
     xml::Document out;
-    if (xml::ToTerm(xml::MaterializeInto(doc.get(), &out)) != reference) {
+    if (xml::ToTerm(xml::MaterializeInto(doc.get(), &out).ValueOrDie()) !=
+        reference) {
       ++mismatches;
     }
     ++sessions_done;

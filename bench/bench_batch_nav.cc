@@ -59,7 +59,7 @@ void BM_MaterializeFig3(benchmark::State& state) {
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
     xml::Node* root =
-        batched ? xml::MaterializeInto(med->document(), &out)
+        batched ? xml::MaterializeInto(med->document(), &out).ValueOrDie()
                 : xml::MaterializeIntoNodeAtATime(med->document(), &out);
     benchmark::DoNotOptimize(root);
   }
@@ -99,7 +99,7 @@ void BM_MaterializeFig3Buffered(benchmark::State& state) {
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
     xml::Node* root =
-        batched ? xml::MaterializeInto(med->document(), &out)
+        batched ? xml::MaterializeInto(med->document(), &out).ValueOrDie()
                 : xml::MaterializeIntoNodeAtATime(med->document(), &out);
     benchmark::DoNotOptimize(root);
     state.counters["messages"] = static_cast<double>(demand.stats().messages);

@@ -32,7 +32,7 @@ void BM_DirectMaterialize(benchmark::State& state) {
   auto doc = BigTree(5);
   for (auto _ : state) {
     xml::DocNavigable nav(doc.get());
-    auto copy = xml::Materialize(&nav);
+    auto copy = xml::Materialize(&nav).ValueOrDie();
     benchmark::DoNotOptimize(copy->node_count());
     state.counters["nodes"] = static_cast<double>(copy->node_count());
   }
@@ -51,7 +51,7 @@ void BM_BufferedMaterialize(benchmark::State& state) {
                              : wrappers::XmlLxpWrapper::FillPolicy::kLeftToRight;
     wrappers::XmlLxpWrapper wrapper(doc.get(), options);
     buffer::BufferComponent buffer(&wrapper, "u");
-    auto copy = xml::Materialize(&buffer);
+    auto copy = xml::Materialize(&buffer).ValueOrDie();
     benchmark::DoNotOptimize(copy->node_count());
     state.counters["fills"] = static_cast<double>(buffer.fill_count());
     state.counters["nodes_buffered"] =
@@ -76,10 +76,10 @@ void BM_BufferReNavigation(benchmark::State& state) {
   wrappers::XmlLxpWrapper wrapper(doc.get(), options);
   buffer::BufferComponent buffer(&wrapper, "u");
   // Warm: explore fully once.
-  xml::Materialize(&buffer);
+  xml::Materialize(&buffer).ValueOrDie();
   int64_t fills_after_warm = buffer.fill_count();
   for (auto _ : state) {
-    auto copy = xml::Materialize(&buffer);
+    auto copy = xml::Materialize(&buffer).ValueOrDie();
     benchmark::DoNotOptimize(copy->node_count());
   }
   state.counters["extra_fills"] =
@@ -102,7 +102,7 @@ void BM_InlineLimitSweep(benchmark::State& state) {
     buffer::BufferComponent::Options buf_options;
     buf_options.channel = &channel;
     buffer::BufferComponent buffer(&wrapper, "u", buf_options);
-    auto copy = xml::Materialize(&buffer);
+    auto copy = xml::Materialize(&buffer).ValueOrDie();
     benchmark::DoNotOptimize(copy->node_count());
     state.counters["fills"] = static_cast<double>(buffer.fill_count());
     state.counters["bytes"] = static_cast<double>(channel.stats().bytes);

@@ -77,7 +77,7 @@ void BM_StackedSelectiveQuery(benchmark::State& state) {
     mediator::SourceRegistry upper_sources;
     upper_sources.Register("theView", lower->document());
     auto upper = mediator::LazyMediator::Build(*query, upper_sources).ValueOrDie();
-    auto answer = xml::Materialize(upper->document());
+    auto answer = xml::Materialize(upper->document()).ValueOrDie();
     benchmark::DoNotOptimize(answer->node_count());
     state.counters["src_navs"] = static_cast<double>(stats.total());
   }
@@ -111,7 +111,7 @@ void RunFlat(benchmark::State& state, int n, bool rewrite) {
     sources.Register("homesSrc", &hc);
     sources.Register("schoolsSrc", &sc);
     auto med = mediator::LazyMediator::Build(*composed, sources).ValueOrDie();
-    auto answer = xml::Materialize(med->document());
+    auto answer = xml::Materialize(med->document()).ValueOrDie();
     benchmark::DoNotOptimize(answer->node_count());
     state.counters["src_navs"] = static_cast<double>(stats.total());
   }

@@ -60,7 +60,8 @@ struct Workload {
     auto plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 
   /// Registers both sources with `wo` (fault injection + retry discipline).
@@ -83,7 +84,7 @@ struct Workload {
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 SessionEnvironment::WrapperOptions FaultOptions(int permille) {

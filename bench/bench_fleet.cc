@@ -71,7 +71,8 @@ struct Workload {
     auto plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 
   void Populate(SessionEnvironment* env) const {
@@ -188,7 +189,7 @@ void BM_FleetPlacement(benchmark::State& state) {
         // All sessions live concurrently; materialize and close them all.
         for (auto& doc : docs) {
           xml::Document out;
-          if (xml::ToTerm(xml::MaterializeInto(doc.get(), &out)) !=
+          if (xml::ToTerm(xml::MaterializeInto(doc.get(), &out).ValueOrDie()) !=
               workload->reference_term) {
             ++bad;
           }
@@ -273,7 +274,7 @@ void BM_FleetFailover(benchmark::State& state) {
     for (size_t i = 0; i < docs.size(); ++i) {
       if (docs[i]->Fetch(resume_from[i]).empty()) ++bad;
       xml::Document out;
-      if (xml::ToTerm(xml::MaterializeInto(docs[i].get(), &out)) !=
+      if (xml::ToTerm(xml::MaterializeInto(docs[i].get(), &out).ValueOrDie()) !=
           workload->reference_term) {
         ++bad;
       }

@@ -99,7 +99,7 @@ void BM_WarehouseUnderChurn(benchmark::State& state) {
     sources.Register("store", &counted);
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     // Freshness forces a reload: materialize the whole view, then read.
-    auto warehouse = xml::Materialize(med->document());
+    auto warehouse = xml::Materialize(med->document()).ValueOrDie();
     xml::DocNavigable local(warehouse.get());
     Skim(&local);
     state.counters["src_navs_per_session"] =

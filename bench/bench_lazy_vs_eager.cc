@@ -113,7 +113,7 @@ void RunEager(benchmark::State& state, int n, int k) {
     sources.Register("schoolsSrc", &schools_counted);
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     // Materialize the complete answer, then skim the first k from the copy.
-    auto full = xml::Materialize(med->document());
+    auto full = xml::Materialize(med->document()).ValueOrDie();
     xml::DocNavigable answer(full.get());
     int64_t reads = SkimFirstK(&answer, k);
     state.counters["src_navs"] = static_cast<double>(stats.total());
@@ -165,7 +165,7 @@ void BM_LazyFullRead(benchmark::State& state) {
     sources.Register("homesSrc", &homes_nav);
     sources.Register("schoolsSrc", &schools_nav);
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
-    auto full = xml::Materialize(med->document());
+    auto full = xml::Materialize(med->document()).ValueOrDie();
     benchmark::DoNotOptimize(full->node_count());
   }
 }

@@ -125,7 +125,7 @@ void RegisterDb(SessionEnvironment* env, const std::string& name,
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 struct RunTally {

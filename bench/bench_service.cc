@@ -93,7 +93,8 @@ struct Workload {
     auto plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 
   /// `fill_delay` > 0 interposes DelayedLxpWrapper on every per-session
@@ -117,7 +118,7 @@ struct Workload {
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 /// 64 sessions, 16 client threads, `workers` server workers; every session

@@ -97,7 +97,8 @@ struct Workload {
     auto plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 
   void Populate(SessionEnvironment* env, std::chrono::microseconds delay,
@@ -116,7 +117,7 @@ struct Workload {
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 struct RunTally {

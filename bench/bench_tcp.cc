@@ -68,7 +68,8 @@ struct Workload {
     auto plan = mediator::CompileXmas(kFig3).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
-    reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
+    reference_term = xml::ToTerm(
+        xml::MaterializeInto(med->document(), &out).ValueOrDie());
   }
 
   void Populate(SessionEnvironment* env) const {
@@ -209,7 +210,8 @@ void BM_TcpSessionThroughput(benchmark::State& state) {
             continue;
           }
           xml::Document out;
-          if (xml::ToTerm(xml::MaterializeInto(doc.value().get(), &out)) !=
+          if (xml::ToTerm(xml::MaterializeInto(doc.value().get(), &out)
+                              .ValueOrDie()) !=
               workload->reference_term) {
             ++bad;
           }

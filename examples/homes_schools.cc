@@ -88,7 +88,7 @@ WHERE homesSrc homes.home $H AND $H zip._ $V1
   std::printf("  schools: %s\n", schools_stats.ToString().c_str());
 
   // Now materialize everything (what a non-navigation-driven mediator does).
-  auto full = xml::Materialize(med->document());
+  auto full = xml::Materialize(med->document()).ValueOrDie();
   std::printf("source navigations after FULL materialization:\n");
   std::printf("  homes:   %s\n", homes_stats.ToString().c_str());
   std::printf("  schools: %s\n", schools_stats.ToString().c_str());

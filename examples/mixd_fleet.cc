@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   };
   auto materialize = [](client::FramedDocument* doc) {
     xml::Document out;
-    return xml::ToTerm(xml::MaterializeInto(doc, &out));
+    return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
   };
 
   // 1. Placement: same query, same home backend.

@@ -277,11 +277,11 @@ int main(int argc, char** argv) {
       } sub;
       sub.inner = answer;
       sub.top = *child;
-      out.AppendChild(root, xml::MaterializeInto(&sub, &out));
+      out.AppendChild(root, xml::MaterializeInto(&sub, &out).ValueOrDie());
       child = answer->Right(*child);
     }
   } else {
-    root = xml::MaterializeInto(answer, &out);
+    root = xml::MaterializeInto(answer, &out).ValueOrDie();
   }
   std::printf("%s", xml::ToXml(root, /*pretty=*/true).c_str());
   return 0;

@@ -6,9 +6,12 @@
 namespace mix::algebra {
 
 namespace {
-/// Sentinel handle for the empty-group binding of a no-group-vars groupBy
-/// over empty input.
+/// Sentinel handle for the empty list of a no-group-vars groupBy over empty
+/// input.
 constexpr int64_t kEmptyGroupHandle = -1;
+/// Handle of the one group of a no-group-vars groupBy, before its list has
+/// been navigated (ListHandle resolves it).
+constexpr int64_t kSoleGroupHandle = -2;
 
 const Atom kGbBTag = Atom::Intern("gb_b");
 const Atom kGbListTag = Atom::Intern("gb_list");
@@ -142,24 +145,41 @@ NodeId GroupByOp::StoreState(GroupState state) {
   return NodeId(kGbBTag, instance_, static_cast<int64_t>(states_.size() - 1));
 }
 
+std::optional<NodeId> GroupByOp::FirstInput() {
+  if (!options_.cache_input) return input_->FirstBinding();
+  if (SeqAt(0) == nullptr) return std::nullopt;
+  return seq_[0].ib;
+}
+
+int64_t GroupByOp::ListHandle(const NodeId& list) {
+  MIX_CHECK(list.IntAt(0) == instance_);
+  const int64_t handle = list.IntAt(1);
+  if (handle != kSoleGroupHandle) return handle;
+  if (sole_group_ == kSoleGroupHandle) {
+    // First navigation of the sole group's list: the one input probe that
+    // decides between a real leader and the empty list.
+    std::optional<NodeId> first = FirstInput();
+    sole_group_ = first.has_value()
+                      ? StoreState(GroupState{*first, nullptr}).IntAt(1)
+                      : kEmptyGroupHandle;
+  }
+  return sole_group_;
+}
+
 const GroupByOp::GroupState& GroupByOp::StateOf(int64_t handle) const {
   MIX_CHECK(handle >= 0 && handle < static_cast<int64_t>(states_.size()));
   return states_[static_cast<size_t>(handle)];
 }
 
 std::optional<NodeId> GroupByOp::FirstBinding() {
-  std::optional<NodeId> first =
-      options_.cache_input
-          ? (SeqAt(0) != nullptr ? std::optional<NodeId>(seq_[0].ib)
-                                 : std::nullopt)
-          : input_->FirstBinding();
-  if (!first.has_value()) {
-    if (group_vars_.empty()) {
-      // "create one answer element (= for each {})": one group, empty list.
-      return NodeId(kGbBTag, instance_, kEmptyGroupHandle);
-    }
-    return std::nullopt;
+  if (group_vars_.empty()) {
+    // "create one answer element (= for each {})": exactly one group,
+    // whatever the input, so its binding costs no input navigation. Its
+    // list probes the input when first navigated (ListHandle).
+    return NodeId(kGbBTag, instance_, kSoleGroupHandle);
   }
+  std::optional<NodeId> first = FirstInput();
+  if (!first.has_value()) return std::nullopt;
   NodeId leader = StoreState(GroupState{*first, nullptr});
   memo_.SetFrontier(NavMemo::Command::kNextBinding, leader);
   return leader;
@@ -168,7 +188,7 @@ std::optional<NodeId> GroupByOp::FirstBinding() {
 std::optional<NodeId> GroupByOp::NextBinding(const NodeId& b) {
   CheckOwn(b, kGbBTag);
   int64_t handle = b.IntAt(1);
-  if (handle == kEmptyGroupHandle) return std::nullopt;
+  if (handle == kSoleGroupHandle) return std::nullopt;  // the only group
   // Memoized for revisits: the next_gb scan from a given group leader is
   // deterministic, so revisits (second materialization pass, sibling
   // re-walks) become pure lookups instead of re-driving the input stream.
@@ -208,8 +228,8 @@ ValueRef GroupByOp::Attr(const NodeId& b, const std::string& var) {
   if (var == out_var_) {
     return ValueRef{this, NodeId(kGbListTag, instance_, handle)};
   }
-  MIX_CHECK_MSG(handle != kEmptyGroupHandle,
-                "empty-group binding has only the list variable");
+  MIX_CHECK_MSG(handle != kSoleGroupHandle,
+                "the sole group's binding has only the list variable");
   MIX_CHECK_MSG(std::find(group_vars_.begin(), group_vars_.end(), var) !=
                     group_vars_.end(),
                 "unknown variable requested from groupBy");
@@ -219,8 +239,7 @@ ValueRef GroupByOp::Attr(const NodeId& b, const std::string& var) {
 std::optional<NodeId> GroupByOp::Down(const NodeId& p) {
   if (space_.Owns(p)) return space_.Down(p);
   if (p.tag_atom() == kGbListTag) {
-    MIX_CHECK(p.IntAt(0) == instance_);
-    int64_t handle = p.IntAt(1);
+    int64_t handle = ListHandle(p);
     if (handle == kEmptyGroupHandle) return std::nullopt;
     const GroupState& state = StateOf(handle);
     // First grouped value: the group leader's own v value.
@@ -286,8 +305,7 @@ void GroupByOp::DownAll(const NodeId& p, std::vector<NodeId>* out) {
     return;
   }
   if (p.tag_atom() == kGbListTag) {
-    MIX_CHECK(p.IntAt(0) == instance_);
-    int64_t handle = p.IntAt(1);
+    int64_t handle = ListHandle(p);
     if (handle == kEmptyGroupHandle) return;
     const GroupState& state = StateOf(handle);
     NodeId cur = state.pg;
@@ -340,8 +358,7 @@ void GroupByOp::FetchSubtree(const NodeId& p, int64_t depth,
     return;
   }
   if (p.tag_atom() == kGbListTag) {
-    MIX_CHECK(p.IntAt(0) == instance_);
-    int64_t handle = p.IntAt(1);
+    int64_t handle = ListHandle(p);
     const bool has_items = handle != kEmptyGroupHandle;
     if (depth == 0) {
       out->push_back(SubtreeEntry{kGbListLabel, 0, has_items,

@@ -32,6 +32,10 @@
 // Special case: groupBy with *no* group-by variables (the `{}` of answer
 // construction) produces exactly one output binding even on empty input,
 // carrying an empty list — "create one answer element (= for each {})".
+// Since that binding exists whatever the input holds, FirstBinding hands it
+// out without navigating the input; the input is probed only when the
+// group's list is first navigated. The answer root of a query therefore
+// costs no source access until the client descends into it (paper §3).
 #ifndef MIX_ALGEBRA_GROUP_BY_OP_H_
 #define MIX_ALGEBRA_GROUP_BY_OP_H_
 
@@ -121,8 +125,14 @@ class GroupByOp : public ConstructingOperatorBase {
   /// Entry at `i`, extending on demand; nullptr past the end of input.
   const SeqEntry* SeqAt(size_t i);
 
+  /// The input's first binding, through the enumeration cache when on.
+  std::optional<NodeId> FirstInput();
   NodeId StoreState(GroupState state);
   const GroupState& StateOf(int64_t handle) const;
+  /// The state handle behind a gb_list id. The sole group of a
+  /// no-group-vars groupBy resolves on first use: a leader state when the
+  /// input has a binding, else the empty-list sentinel.
+  int64_t ListHandle(const NodeId& list);
 
   BindingStream* input_;
   VarList group_vars_;
@@ -136,6 +146,8 @@ class GroupByOp : public ConstructingOperatorBase {
   std::vector<SeqEntry> seq_;
   std::unordered_map<NodeId, size_t, NodeIdHash> seq_index_;
   bool seq_complete_ = false;
+  /// Resolved handle of the sole group (kSoleGroupHandle until resolved).
+  int64_t sole_group_ = -2;
 };
 
 }  // namespace mix::algebra

@@ -347,17 +347,20 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     // completion); over a native-async transport the exchange goes through
     // the same dispatch machinery as readahead flights.
     Status st = wrapper_->BeginFillMany(ids, budget)->Wait(&fills);
+    // Validate before charging: only a valid response has one part per
+    // entry to account; a response with no entries (a truncated batch) is
+    // the typed "not answered" error, charged as one plain message.
+    const bool responded = st.ok();
+    if (st.ok()) st = ValidateBatch(ids, fills);
     if (channel != nullptr) {
       channel->SendBatch(request_bytes, static_cast<int64_t>(ids.size()));
       if (st.ok()) {
         channel->SendBatch(HoleFillListByteSize(fills),
                            static_cast<int64_t>(fills.size()));
       } else {
-        channel->Send(16);  // error response
+        channel->Send(responded ? HoleFillListByteSize(fills) : 16);
       }
     }
-    if (!st.ok()) return st;
-    st = ValidateBatch(ids, fills);
     if (!st.ok()) return st;
     // The response validated as a whole; application cannot fail.
     fill_count_ += static_cast<int64_t>(fills.size());
@@ -386,12 +389,34 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
   return s;
 }
 
-void BufferComponent::OpenCohort(BNode* p) {
+bool BufferComponent::OpenCohort(BNode* p) {
   auto lone_hole = [](const BNode* n) {
     return n->children.size() == 1 && n->children[0]->is_hole;
   };
   BNode* parent = p->parent;
-  if (parent == nullptr) return;
+  if (parent == nullptr) return false;
+  if (whole_export_) {
+    // The export reads every level, so the demanded list travels with the
+    // lists of every following sibling of the same kind and with the rest
+    // of p's own list; FillBudget{} chases each list's continuations. The
+    // over-fetch is bounded by the siblings labeled like p that the export
+    // does not descend into.
+    if (!lone_hole(p)) return false;
+    std::vector<BNode*> holes = {p->children[0]};
+    for (size_t i = static_cast<size_t>(p->pos) + 1;
+         i < parent->children.size(); ++i) {
+      const BNode* sibling = parent->children[i];
+      if (lone_hole(sibling) && sibling->label_atom == p->label_atom) {
+        holes.push_back(sibling->children[0]);
+      }
+    }
+    if (parent->children.back()->is_hole) {
+      holes.push_back(parent->children.back());
+    }
+    FillHolesBatch(holes, FillBudget{}, /*background=*/false,
+                   /*cohort=*/true);
+    return true;
+  }
   const bool continues = p->pos > 0 && last_descent_ != nullptr &&
                          parent->children[static_cast<size_t>(p->pos) - 1] ==
                              last_descent_;
@@ -399,7 +424,7 @@ void BufferComponent::OpenCohort(BNode* p) {
     // Already open (a cohort member, or inline): the streak carries on
     // through it without an exchange.
     if (continues) last_descent_ = p;
-    return;
+    return false;
   }
   last_descent_ = p;
   cohort_width_ =
@@ -415,7 +440,7 @@ void BufferComponent::OpenCohort(BNode* p) {
     if (!lone_hole(sibling)) break;  // also stops at a continuation hole
     holes.push_back(sibling->children[0]);
   }
-  if (holes.size() == 1) return;  // the demand path fills p alone
+  if (holes.size() == 1) return false;  // the demand path fills p alone
   // No chasing: each member gets exactly the fill a lone demand would. A
   // failure degrades nothing; ChaseFirst then finds p's hole still open
   // and runs the single-hole retry/degrade path, so answers and typed
@@ -424,6 +449,7 @@ void BufferComponent::OpenCohort(BNode* p) {
                  FillBudget{/*elements=*/-1,
                             /*fills=*/static_cast<int64_t>(holes.size())},
                  /*background=*/false, /*cohort=*/true);
+  return true;
 }
 
 Status BufferComponent::CompleteChildList(BNode* parent) {
@@ -495,7 +521,8 @@ bool BufferComponent::ApplyPushedFill(const std::string& hole_id,
   return true;
 }
 
-Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
+Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out,
+                                   bool chase_list) {
   *out = nullptr;
   while (pos < parent->children.size()) {
     BNode* n = parent->children[pos];
@@ -506,6 +533,14 @@ Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
       }
       *out = n;
       return Status::OK();
+    }
+    if (chase_list) {
+      // Cohort semantics: a failure degrades nothing and the single-hole
+      // path below takes over.
+      chase_list = false;
+      FillHolesBatch({n}, FillBudget{}, /*background=*/false,
+                     /*cohort=*/true);
+      continue;
     }
     Status s = FillHole(n, /*background=*/false);
     if (!s.ok()) {
@@ -723,8 +758,10 @@ BufferComponent::BNode* BufferComponent::Resolve(const NodeId& p) const {
     return nullptr;
   }
   BNode* n = by_index_[static_cast<size_t>(index)];
-  // Hole indices are internal bookkeeping, never handed out via MakeId.
-  if (n->is_hole) return nullptr;
+  // Hole indices are internal bookkeeping, never handed out via MakeId;
+  // neither is the #super-root sentinel nor a hole spliced away — the
+  // parentless nodes, on which Right/NextSiblings have no list to walk.
+  if (n->is_hole || n->parent == nullptr) return nullptr;
   return n;
 }
 
@@ -768,9 +805,9 @@ std::optional<NodeId> BufferComponent::Down(const NodeId& p) {
     Latch(Status::Unavailable("subtree unavailable: fill retries exhausted"));
     return std::nullopt;
   }
-  OpenCohort(n);
+  const bool batched = OpenCohort(n);
   BNode* child = nullptr;
-  Status s = ChaseFirst(n, 0, &child);
+  Status s = ChaseFirst(n, 0, &child, whole_export_ && !batched);
   if (!s.ok()) Latch(s);
   Prefetch(demand_fill_in_command_);
   if (child == nullptr) return std::nullopt;
@@ -787,7 +824,8 @@ std::optional<NodeId> BufferComponent::Right(const NodeId& p) {
   }
   MIX_CHECK(n->parent != nullptr);
   BNode* sibling = nullptr;
-  Status s = ChaseFirst(n->parent, static_cast<size_t>(n->pos) + 1, &sibling);
+  Status s = ChaseFirst(n->parent, static_cast<size_t>(n->pos) + 1, &sibling,
+                        whole_export_);
   if (!s.ok()) Latch(s);
   Prefetch(demand_fill_in_command_);
   if (sibling == nullptr) return std::nullopt;

@@ -198,6 +198,19 @@ class BufferComponent : public Navigable {
   /// executor deadline's remaining budget, 1 real ns = 1 virtual ns.
   void SetCommandBudgetNs(int64_t budget_ns);
 
+  /// Marks the commands that follow (until cleared) as parts of a
+  /// whole-answer export — the service sets it for a FetchSubtree of the
+  /// answer root at depth < 0, the one command that will read every level
+  /// of the sources the query touches. While it is set, fills are
+  /// unbounded: Down(p) opens p's lone-hole child list together with the
+  /// lone-hole lists of every following buffered sibling labeled like p
+  /// and the list's trailing continuation hole, and a hole met by Down or
+  /// Right is chased to the end of its list — each in one FillHolesBatch
+  /// with FillBudget{}, so an export costs about one exchange per source
+  /// level. A failed or deadline-cut batch degrades nothing; the demanded
+  /// hole then takes the single-hole retry/degrade path.
+  void SetWholeExport(bool on) { whole_export_ = on; }
+
   /// One-call snapshot of the counters above — what a per-session metrics
   /// sweep (service layer) reads per buffered source.
   struct Stats {
@@ -293,8 +306,10 @@ class BufferComponent : public Navigable {
   /// also carries the lone-hole child lists of p's following siblings
   /// already buffered — as many as the cohort width, which starts at 1,
   /// doubles each time the descent continues from the sibling the last
-  /// descent opened, and resets to 1 on any other descent.
-  void OpenCohort(BNode* p);
+  /// descent opened, and resets to 1 on any other descent. During a whole
+  /// export (SetWholeExport) the cohort is unbounded instead. Returns true
+  /// when p's hole went out in a batch.
+  bool OpenCohort(BNode* p);
   /// Batch-fills until `parent`'s child list contains no holes (degraded
   /// holes count as done). Returns the first error; stops early only on
   /// kDeadlineExceeded (nothing was degraded, so looping cannot progress).
@@ -305,7 +320,10 @@ class BufferComponent : public Navigable {
   /// First element at or after `pos` in `parent`'s list, filling holes as
   /// needed (Fig. 8 chase_first). *out = nullptr if the list is exhausted
   /// (OK) or the blocking fill failed without degrading (error returned).
-  Status ChaseFirst(BNode* parent, size_t pos, BNode** out);
+  /// With `chase_list`, the first hole met is first offered to one
+  /// unbounded cohort batch that fills the rest of the list.
+  Status ChaseFirst(BNode* parent, size_t pos, BNode** out,
+                    bool chase_list = false);
   /// Tries to answer `hole` from the shared cache: on a hit the cached
   /// list is re-validated against THIS tree's hole set (freshness is
   /// per-buffer), spliced, and counted as a fill — no wrapper exchange, no
@@ -396,6 +414,8 @@ class BufferComponent : public Navigable {
   /// the width of the last cohort.
   const BNode* last_descent_ = nullptr;
   int64_t cohort_width_ = 1;
+  /// Set by SetWholeExport for the commands of a whole-answer export.
+  bool whole_export_ = false;
 };
 
 }  // namespace mix::buffer

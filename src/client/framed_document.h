@@ -13,7 +13,10 @@
 // node-or-⊥), so failures — overload, expired deadlines, closed sessions —
 // surface as ⊥/empty results, and the precise Status is latched in
 // last_status() for the application to inspect. Navigating on after an
-// error is safe: the session (if alive) is untouched by failed requests.
+// error is safe: a request the service refused (overload, expiry, a bad
+// id) leaves the session untouched. A source error inside a command
+// taints the server-side session instead: every later command returns
+// kDataLoss, and the client reopens to get a fresh one.
 #ifndef MIX_CLIENT_FRAMED_DOCUMENT_H_
 #define MIX_CLIENT_FRAMED_DOCUMENT_H_
 

@@ -278,6 +278,11 @@ Frame MediatorService::Execute(
     return Frame::Error(Status::NotFound("unknown session " +
                                          std::to_string(request.session)));
   }
+  if (session->tainted()) {
+    session->metrics().requests += 1;
+    session->metrics().errors += 1;
+    return Frame::Error(Session::TaintedStatus());
+  }
   // Propagate the executor deadline's remaining budget into the session's
   // source buffers as a virtual fill deadline (1 real ns = 1 simulated ns).
   int64_t budget_ns = -1;
@@ -287,7 +292,13 @@ Frame MediatorService::Execute(
         0, std::chrono::duration_cast<std::chrono::nanoseconds>(remaining)
                .count());
   }
-  session->BeginCommand(budget_ns);
+  // A full-depth FetchSubtree of the document root exports the whole
+  // answer: the source buffers fetch it level by level in unbounded
+  // batches, and a clean one may be published as an answer view.
+  const bool whole_export = request.type == MsgType::kFetchSubtree &&
+                            request.number < 0 &&
+                            request.node == session->document()->Root();
+  session->BeginCommand(budget_ns, whole_export);
   Frame response = ExecuteNavigation(request, *session);
   session->EndCommand();
   // A degraded or deadline-cut fill surfaces as a typed error frame even
@@ -302,9 +313,8 @@ Frame MediatorService::Execute(
   // here (not inside the session) because only this path knows the
   // exchange succeeded end-to-end; Publish itself re-rejects truncated or
   // degraded entries, so a partial snapshot can never enter the cache.
-  if (source.ok() && response.type == MsgType::kSubtree &&
-      request.number < 0 && session->CanPublishView() &&
-      request.node == session->document()->Root()) {
+  if (whole_export && source.ok() && response.type == MsgType::kSubtree &&
+      session->CanPublishView()) {
     answer_view_cache_.Publish(session->publish_shape(), response.entries,
                                session->publish_generations());
     session->MarkViewPublished();

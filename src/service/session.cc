@@ -266,12 +266,24 @@ void Session::RefreshSourceMetrics() {
   for (const auto& channel : channels_) metrics_.lxp += channel->stats();
 }
 
-void Session::BeginCommand(int64_t budget_ns) {
-  for (const auto& buffer : buffers_) buffer->SetCommandBudgetNs(budget_ns);
+void Session::BeginCommand(int64_t budget_ns, bool whole_export) {
+  for (const auto& buffer : buffers_) {
+    buffer->SetCommandBudgetNs(budget_ns);
+    buffer->SetWholeExport(whole_export);
+  }
 }
 
 void Session::EndCommand() {
-  for (const auto& buffer : buffers_) buffer->SetCommandBudgetNs(-1);
+  for (const auto& buffer : buffers_) {
+    buffer->SetCommandBudgetNs(-1);
+    buffer->SetWholeExport(false);
+  }
+}
+
+Status Session::TaintedStatus() {
+  return Status::DataLoss(
+      "session state is incomplete after a source error in an earlier "
+      "command; reopen the session");
 }
 
 Status Session::TakeSourceStatus() {

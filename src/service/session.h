@@ -202,15 +202,27 @@ class Session {
   /// Per-command deadline plumbing: the executor's remaining real budget
   /// (ns; < 0 = none) becomes each source buffer's virtual fill deadline —
   /// 1 real ns = 1 simulated ns — so retry backoff can never outlive the
-  /// request that is paying for it.
-  void BeginCommand(int64_t budget_ns);
+  /// request that is paying for it. `whole_export` marks a FetchSubtree of
+  /// the answer root at depth < 0: every source buffer then fills with
+  /// unbounded cohorts (BufferComponent::SetWholeExport) for this command.
+  void BeginCommand(int64_t budget_ns, bool whole_export);
   void EndCommand();
 
   /// Drains the first error latched by any source buffer during the last
   /// command (OK when navigation was clean) — the typed face of degraded
   /// answers, reported per command by the service layer. A non-OK drain
-  /// also marks the session as having seen a source fault for good.
+  /// also taints the session for good (see tainted()).
   Status TakeSourceStatus();
+
+  /// True once any command drained a source error. Operator caches may hold
+  /// what the failed command computed (an empty group, a cut join), so a
+  /// later command could return a wrong OK answer: the service answers
+  /// every command of a tainted session with TaintedStatus() instead, and
+  /// the session never publishes a view.
+  bool tainted() const { return source_faulted_; }
+  /// The typed error of a tainted session: kDataLoss, not retryable in
+  /// place; the client reopens the session.
+  static Status TaintedStatus();
 
   /// Idempotency token of the Open that created this session ("" = none);
   /// the registry indexes live sessions by it so a replayed Open (a
@@ -266,9 +278,9 @@ class Session {
 
   /// True when a full-depth root export of this session is publishable:
   /// it has a valid descriptor, is not itself view-served (no derived
-  /// views of views), has not published yet, and no command ever drained
-  /// a source fault (operator caches may still hold the shell a cut
-  /// command computed, so a later clean export can be incomplete).
+  /// views of views), has not published yet, and is not tainted (operator
+  /// caches may still hold the shell a cut command computed, so a later
+  /// clean export can be incomplete).
   /// Touched only under the executor's per-session serialization.
   bool CanPublishView() const {
     return publish_shape_.valid && view_snapshot_ == nullptr && !published_ &&

@@ -68,15 +68,18 @@ Node* BuildFromSubtreeEntries(const std::vector<SubtreeEntry>& entries,
   return root;
 }
 
-Node* MaterializeInto(Navigable* nav, Document* doc) {
+Result<Node*> MaterializeInto(Navigable* nav, Document* doc) {
   MIX_CHECK(nav != nullptr && doc != nullptr);
   // One vectored fetch for the whole answer: the batch cascades through
   // every mediation layer instead of a d/r/f round per node.
   std::vector<SubtreeEntry> entries;
   nav->FetchSubtree(nav->Root(), -1, &entries);
   Node* root = BuildFromSubtreeEntries(entries, doc);
-  MIX_CHECK_MSG(root != nullptr,
-                "full-depth fetch returned a truncated or malformed snapshot");
+  if (root == nullptr) {
+    return Status::Unavailable(
+        "full-depth fetch returned an empty, truncated or malformed "
+        "snapshot");
+  }
   return root;
 }
 
@@ -84,9 +87,11 @@ Node* MaterializeIntoNodeAtATime(Navigable* nav, Document* doc) {
   return MaterializePrefixInto(nav, doc, -1);
 }
 
-std::unique_ptr<Document> Materialize(Navigable* nav) {
+Result<std::unique_ptr<Document>> Materialize(Navigable* nav) {
   auto doc = std::make_unique<Document>();
-  doc->set_root(MaterializeInto(nav, doc.get()));
+  Result<Node*> root = MaterializeInto(nav, doc.get());
+  if (!root.ok()) return root.status();
+  doc->set_root(root.value());
   return doc;
 }
 

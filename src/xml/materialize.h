@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "core/navigable.h"
+#include "core/status.h"
 #include "xml/tree.h"
 
 namespace mix::xml {
@@ -18,8 +19,12 @@ namespace mix::xml {
 /// returning the copied root. Leaves become text nodes (the abstraction
 /// cannot distinguish empty elements from character data). Uses ONE
 /// vectored FetchSubtree — the request cascades through the layered
-/// mediators as batch calls instead of d/r/f per node.
-Node* MaterializeInto(Navigable* nav, Document* doc);
+/// mediators as batch calls instead of d/r/f per node. A fetch that fails
+/// (empty, truncated or malformed snapshot — e.g. a remote session whose
+/// command hit a fault or a deadline) returns kUnavailable; a navigable
+/// with a status latch (client::FramedDocument::last_status) holds the
+/// precise cause.
+Result<Node*> MaterializeInto(Navigable* nav, Document* doc);
 
 /// The node-at-a-time baseline: the same exploration driven by d/r/f per
 /// node. Kept callable for the batched-vs-baseline benchmarks and the
@@ -27,7 +32,7 @@ Node* MaterializeInto(Navigable* nav, Document* doc);
 Node* MaterializeIntoNodeAtATime(Navigable* nav, Document* doc);
 
 /// Convenience: materializes into a fresh document.
-std::unique_ptr<Document> Materialize(Navigable* nav);
+Result<std::unique_ptr<Document>> Materialize(Navigable* nav);
 
 /// Materializes only `max_nodes` nodes (depth-first prefix); used by
 /// benchmarks that model a user who stops after browsing a few results.

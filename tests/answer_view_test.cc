@@ -367,7 +367,7 @@ MediatorService::Options ViewOptions(int64_t view_bytes) {
 
 std::string MaterializeFramed(client::FramedDocument* doc) {
   xml::Document out;
-  return xml::ToTerm(xml::MaterializeInto(doc, &out));
+  return xml::ToTerm(xml::MaterializeInto(doc, &out).ValueOrDie());
 }
 
 TEST(AnswerViewServiceTest, WarmOpenServedWithZeroWrapperExchanges) {

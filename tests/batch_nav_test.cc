@@ -163,7 +163,7 @@ EvalRun RunFig3(xml::Document* homes, xml::Document* schools, bool batched) {
                .ValueOrDie();
   xml::Document out;
   xml::Node* root = batched
-                        ? xml::MaterializeInto(m->document(), &out)
+                        ? xml::MaterializeInto(m->document(), &out).ValueOrDie()
                         : xml::MaterializeIntoNodeAtATime(m->document(), &out);
   run.term = xml::ToTerm(root);
   return run;
@@ -205,7 +205,7 @@ TEST(BatchEquivalenceTest, StackedMediatorsIdenticalAndNeverMore) {
             .ValueOrDie();
     xml::Document out;
     xml::Node* root =
-        batched ? xml::MaterializeInto(upper->document(), &out)
+        batched ? xml::MaterializeInto(upper->document(), &out).ValueOrDie()
                 : xml::MaterializeIntoNodeAtATime(upper->document(), &out);
     r.term = xml::ToTerm(root);
     return r;

@@ -92,7 +92,7 @@ TEST(BookstoreWrapperTest, FullCatalogRoundTrip) {
   BookstoreLxpWrapper wrapper(&site);
   buffer::BufferComponent buffer(&wrapper, "http://bn");
 
-  auto doc = xml::Materialize(&buffer);
+  auto doc = xml::Materialize(&buffer).ValueOrDie();
   ASSERT_EQ(doc->root()->children.size(), 12u);
   for (size_t i = 0; i < 12; ++i) {
     const xml::Node* book = doc->root()->children[i];

@@ -487,5 +487,104 @@ TEST(CohortTest, InflightMembersNeverCrossTheWireTwice) {
   EXPECT_EQ(buffer.fill_count(), kRecords + 2);
 }
 
+// ---------------------------------------------------------------------------
+// Whole-answer exports: unbounded cohorts, one exchange per source level.
+// ---------------------------------------------------------------------------
+
+/// Visits the subtree under `p` with Down/Right — the navigation an export
+/// drives into a source — and returns the number of nodes visited.
+int WalkAll(BufferComponent* buffer, const NodeId& p) {
+  int nodes = 1;
+  for (std::optional<NodeId> c = buffer->Down(p); c; c = buffer->Right(*c)) {
+    nodes += WalkAll(buffer, *c);
+  }
+  return nodes;
+}
+
+TEST(WholeExportTest, OneExchangePerLevel) {
+  constexpr int kRecords = 20;
+  auto doc = RecordsDoc(kRecords);
+  wrappers::XmlLxpWrapper wrapper(doc.get());  // chunk 8
+  net::Channel channel(nullptr, net::ChannelOptions{});
+  BufferComponent::Options options;
+  options.channel = &channel;
+  BufferComponent buffer(&wrapper, "u", options);
+  NodeId root = buffer.Root();
+  channel.ResetStats();
+
+  buffer.SetWholeExport(true);
+  EXPECT_EQ(WalkAll(&buffer, root), 1 + 5 * kRecords);
+  buffer.SetWholeExport(false);
+  // One exchange for the record list (its three chunks chased), one for
+  // every record's child list.
+  EXPECT_EQ(channel.stats().messages, 2 * 2);
+  EXPECT_EQ(buffer.holes_outstanding(), 0);
+  EXPECT_TRUE(buffer.TakeStatus().ok());
+
+  wrappers::XmlLxpWrapper plain_wrapper(doc.get());
+  BufferComponent plain(&plain_wrapper, "u");
+  EXPECT_EQ(testing::MaterializeToTerm(&buffer),
+            testing::MaterializeToTerm(&plain));
+  EXPECT_EQ(buffer.fill_count(), plain.fill_count());
+}
+
+// A list already partly open: the cohort carries the list's continuation
+// hole, and a Right that reaches a continuation chases it to the end.
+TEST(WholeExportTest, ContinuationsTravelWithTheCohort) {
+  constexpr int kRecords = 20;
+  auto doc = RecordsDoc(kRecords);
+  for (bool descend_first : {true, false}) {
+    wrappers::XmlLxpWrapper wrapper(doc.get());  // chunk 8
+    net::Channel channel(nullptr, net::ChannelOptions{});
+    BufferComponent::Options options;
+    options.channel = &channel;
+    BufferComponent buffer(&wrapper, "u", options);
+    NodeId rec = FirstRecord(&buffer);  // records 0..7 and a hole
+    channel.ResetStats();
+    buffer.SetWholeExport(true);
+    if (descend_first) {
+      // The child lists of records 0..7 and the list's continuation
+      // (chased to record 19) in one exchange.
+      ASSERT_TRUE(buffer.Down(rec).has_value());
+      EXPECT_EQ(channel.stats().messages, 2) << "descend_first";
+    } else {
+      // Right from record 7 meets the continuation: one exchange for the
+      // rest of the list.
+      for (int i = 0; i < 8; ++i) rec = buffer.Right(rec).value();
+      EXPECT_EQ(channel.stats().messages, 2) << "right";
+    }
+    std::vector<NodeId> rest;
+    buffer.NextSiblings(rec, -1, &rest);
+    EXPECT_EQ(channel.stats().messages, 2);
+    buffer.SetWholeExport(false);
+    EXPECT_EQ(rest.size(), static_cast<size_t>(descend_first ? 19 : 11));
+  }
+}
+
+// The #super-root sentinel and spliced-away holes have no parent; a forged
+// id naming one is a bad id (⊥ plus a typed latch), never an abort.
+TEST(BufferFaultTest, ForgedParentlessIdsAreBadIds) {
+  auto doc = RecordsDoc(3);
+  wrappers::XmlLxpWrapper wrapper(doc.get());
+  BufferComponent buffer(&wrapper, "u");
+  NodeId root = buffer.Root();
+  ASSERT_TRUE(root.valid());
+  ASSERT_TRUE(buffer.Down(root).has_value());
+  // Arena index 0 is the sentinel, index 1 the root hole the first fill
+  // replaced.
+  for (int64_t index : {int64_t{0}, int64_t{1}}) {
+    NodeId forged("buf", {root.IntAt(0), index});
+    EXPECT_FALSE(buffer.Down(forged).has_value()) << index;
+    EXPECT_EQ(buffer.TakeStatus().code(), Status::Code::kInvalidArgument);
+    EXPECT_FALSE(buffer.Right(forged).has_value()) << index;
+    EXPECT_EQ(buffer.TakeStatus().code(), Status::Code::kInvalidArgument);
+    std::vector<NodeId> out;
+    buffer.NextSiblings(forged, -1, &out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(buffer.TakeStatus().code(), Status::Code::kInvalidArgument);
+  }
+  EXPECT_EQ(buffer.Fetch(root), "r");
+}
+
 }  // namespace
 }  // namespace mix::buffer

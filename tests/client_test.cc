@@ -71,7 +71,7 @@ TEST(ClientTest, TransparencyOverVirtualDocument) {
   };
 
   VirtualXmlDocument virt(med->document());
-  auto materialized = xml::Materialize(med->document());
+  auto materialized = xml::Materialize(med->document()).ValueOrDie();
   xml::DocNavigable mat_nav(materialized.get());
   VirtualXmlDocument mat(&mat_nav);
 

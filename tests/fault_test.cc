@@ -183,6 +183,13 @@ TEST(FaultMatrixTest, ServiceAnswerByteIdenticalUnderInjectedFaults) {
     MediatorService service(&env, {});
 
     auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
+    // A d/r/f walk first: it pays an exchange per hole it meets, so the
+    // injected faults hit and are retried. The whole-answer export after it
+    // (a handful of exchanges when run alone) must agree.
+    xml::Document walked;
+    EXPECT_EQ(xml::ToTerm(xml::MaterializeIntoNodeAtATime(doc.get(), &walked)),
+              kExpectedAnswer)
+        << "p=" << p;
     EXPECT_EQ(testing::MaterializeToTerm(doc.get()), kExpectedAnswer)
         << "p=" << p;
     EXPECT_TRUE(doc->last_status().ok());
@@ -335,18 +342,22 @@ TEST(FaultDegradeTest, SiblingSessionsStayIsolated) {
   auto broken = FramedDocument::Open(&service, kFig3).ValueOrDie();
   NodeId broken_root = broken->Root();
   ASSERT_TRUE(broken_root.valid());
-  // Fetching the root resolves the first binding through homesSrc, whose
-  // retries exhaust: the command comes back as a typed error frame (never
-  // an abort) and yields ⊥.
-  EXPECT_EQ(broken->Fetch(broken_root), "");
+  // The root's label costs no source access, so even a dead source serves
+  // it.
+  EXPECT_EQ(broken->Fetch(broken_root), "answer");
+  EXPECT_TRUE(broken->last_status().ok());
+  // Descending resolves the first binding through homesSrc, whose retries
+  // exhaust: the command comes back as a typed error frame (never an
+  // abort) and yields ⊥.
+  EXPECT_FALSE(broken->Down(broken_root).has_value());
   EXPECT_EQ(broken->last_status().code(), Status::Code::kUnavailable);
-  // The session survives its degraded source: the answer shell (with no
-  // med_home bindings to mediate) is still served.
+  // The error taints the session: the answer shell its operators computed
+  // is never served as OK; every later command asks for a reopen.
   broken->clear_last_status();
   std::vector<SubtreeEntry> entries;
   broken->FetchSubtree(broken_root, -1, &entries);
-  ASSERT_FALSE(entries.empty());
-  EXPECT_EQ(std::string(entries[0].label.name()), "answer");
+  EXPECT_TRUE(entries.empty());
+  EXPECT_EQ(broken->last_status().code(), Status::Code::kDataLoss);
   ServiceMetricsSnapshot snap = service.Metrics();
   EXPECT_GE(snap.degraded_holes, 1);
   EXPECT_GT(snap.source_faults, 0);
@@ -356,6 +367,33 @@ TEST(FaultDegradeTest, SiblingSessionsStayIsolated) {
   auto healthy = FramedDocument::Open(&service, kFig3).ValueOrDie();
   EXPECT_EQ(testing::MaterializeToTerm(healthy.get()), kExpectedAnswer);
   EXPECT_TRUE(healthy->last_status().ok());
+}
+
+// A whole-answer materialization whose fetch fails comes back as a typed
+// status instead of killing the client; the framed document's latch holds
+// the precise cause.
+TEST(MaterializeTest, FailedFramedExportIsATypedError) {
+  auto schools = testing::Doc(kSchools);
+  SessionEnvironment env;
+  env.RegisterWrapperFactory(
+      "homesSrc", [] { return std::make_unique<RefusingWrapper>(); },
+      "homes.xml");
+  env.RegisterWrapperFactory(
+      "schoolsSrc",
+      [&schools] {
+        return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+      },
+      "schools.xml");
+  MediatorService service(&env, {});
+  auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  Result<std::unique_ptr<xml::Document>> answer = xml::Materialize(doc.get());
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), Status::Code::kUnavailable);
+  EXPECT_EQ(doc->last_status().code(), Status::Code::kUnavailable);
+  EXPECT_NE(doc->last_status().message().find("source down"),
+            std::string::npos)
+      << doc->last_status().ToString();
+  EXPECT_EQ(testing::MaterializeToTerm(doc.get()).rfind("Unavailable", 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,6 +485,61 @@ TEST(BadBatchTest, HandCraftedBatchResponsesAreRejectedWithStatus) {
   }
 }
 
+// A response with zero entries is the "not answered" error even when the
+// buffer charges a channel: it is validated before it is accounted, so the
+// empty batch never reaches the channel's one-part-per-entry check.
+TEST(BadBatchTest, EmptyResponseOnAChannelIsATypedError) {
+  BadBatchWrapper wrapper(BadBatchMode::kMissingRequested);
+  net::SimClock clock;
+  net::Channel channel(&clock, net::ChannelOptions{});
+  BufferComponent::Options opts;
+  opts.channel = &channel;
+  BufferComponent buf(&wrapper, "u", opts);
+  NodeId a = buf.Root();
+  ASSERT_TRUE(a.valid());
+  const int64_t before = channel.stats().messages;
+  std::vector<NodeId> kids;
+  buf.DownAll(a, &kids);
+  Status s = buf.TakeStatus();
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("not answered"), std::string::npos);
+  EXPECT_EQ(channel.stats().messages - before, 2);  // request + response
+  EXPECT_EQ(buf.degraded_holes(), 1);
+}
+
+// Truncated FillMany responses (some of them one-entry batches cut to zero
+// entries) on a buffer with a channel — the shape of every service session:
+// each comes back as a typed error, retried or degraded, never an abort.
+TEST(BadBatchTest, TruncatedBatchesOnAChannelNeverAbort) {
+  auto homes = xml::MakeHomesDoc(16, 4);
+  for (int attempts : {1, 4}) {
+    wrappers::XmlLxpWrapper inner(homes.get());
+    net::FaultSpec spec;
+    spec.p_truncate = 0.5;
+    FaultyLxpWrapper wrapper(&inner, spec, /*seed=*/attempts);
+    net::SimClock clock;
+    net::Channel channel(&clock, net::ChannelOptions{});
+    BufferComponent::Options opts;
+    opts.channel = &channel;
+    opts.clock = &clock;
+    opts.retry.max_attempts = attempts;
+    BufferComponent buf(&wrapper, "homes.xml", opts);
+    NodeId root = buf.Root();
+    ASSERT_TRUE(root.valid());
+    std::vector<NodeId> homes_list;
+    buf.DownAll(root, &homes_list);
+    for (const NodeId& home : homes_list) {
+      std::vector<NodeId> kids;
+      buf.DownAll(home, &kids);
+    }
+    BufferComponent::Stats st = buf.stats();
+    EXPECT_GT(st.faults, 0) << "attempts=" << attempts;
+    if (st.degraded_holes > 0) {
+      EXPECT_FALSE(buf.TakeStatus().ok());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deadline vs. retry.
 // ---------------------------------------------------------------------------
@@ -526,9 +619,10 @@ TEST(DeadlineTest, BackoffNeverOutlivesCommandBudget) {
 
 // Service level: the executor deadline propagates into the retry loop as a
 // virtual fill deadline. During an outage a deadlined command reports
-// kDeadlineExceeded (typed, no abort, nothing degraded); after the outage
-// the same session produces the exact answer.
-TEST(DeadlineTest, ServiceDeadlineCutsRetryAndLeavesSessionUsable) {
+// kDeadlineExceeded (typed, no abort, nothing degraded). After the outage
+// the cut session answers every command with the typed reopen error, and a
+// fresh session produces the exact answer.
+TEST(DeadlineTest, ServiceDeadlineCutsRetryAndTaintsSession) {
   auto homes = testing::Doc(kHomes);
   auto schools = testing::Doc(kSchools);
   std::atomic<bool> failing{false};
@@ -565,14 +659,20 @@ TEST(DeadlineTest, ServiceDeadlineCutsRetryAndLeavesSessionUsable) {
   ServiceMetricsSnapshot snap = service.Metrics();
   EXPECT_EQ(snap.degraded_holes, 0);
 
-  // Outage over. The deadline-cut session stays navigable (it serves the
-  // degraded answer shell its operators computed during the cut command —
-  // mediator operator caches memoize binding enumerations, so in-place
-  // retry stops at the buffer layer; see the buffer-level test above).
+  // Outage over. The cut command's probe found no first binding, and the
+  // mediator's operator caches keep that empty group (in-place retry stops
+  // at the buffer layer; see the buffer-level test above). Serving it would
+  // be a wrong OK answer, so the session is tainted: every later command
+  // gets the typed reopen error.
   failing = false;
   doc->set_deadline_ns(0);
   doc->clear_last_status();
-  EXPECT_EQ(testing::MaterializeToTerm(doc.get()), "answer");
+  Result<std::unique_ptr<xml::Document>> shell = xml::Materialize(doc.get());
+  EXPECT_FALSE(shell.ok());
+  EXPECT_EQ(doc->last_status().code(), Status::Code::kDataLoss);
+  doc->clear_last_status();
+  EXPECT_EQ(doc->Fetch(root), "");
+  EXPECT_EQ(doc->last_status().code(), Status::Code::kDataLoss);
 
   // Service-level recovery granularity is a fresh session: its brand-new
   // buffers re-fill from the recovered source and the answer is exact.
@@ -623,14 +723,16 @@ TEST(DeadlineTest, CutSessionNeverPublishesItsShellToAnswerViews) {
   cut->DownAll(root, &kids);
   EXPECT_EQ(cut->last_status().code(), Status::Code::kDeadlineExceeded);
 
-  // Outage over: the cut session's full-depth export now completes with no
-  // source fault, but its content is the shell.
+  // Outage over: the cut session's full-depth export would now meet no
+  // source fault, but its content would be the shell. The tainted session
+  // refuses it with the typed reopen error and publishes nothing.
   failing = false;
   cut->set_deadline_ns(0);
   cut->clear_last_status();
   std::vector<SubtreeEntry> entries;
   cut->FetchSubtree(root, -1, &entries);
-  EXPECT_TRUE(cut->last_status().ok());
+  EXPECT_TRUE(entries.empty());
+  EXPECT_EQ(cut->last_status().code(), Status::Code::kDataLoss);
   EXPECT_EQ(service.Metrics().view_publishes, 0);
 
   auto fresh = FramedDocument::Open(&service, kFig3).ValueOrDie();
@@ -864,6 +966,61 @@ TEST(CohortFaultTest, DeadlineCutCohortLeavesSpeculativeHolesFillable) {
   EXPECT_EQ(most_holes, 16);  // every home opened by its own descent
 }
 
+/// Refuses every unbounded batch (FillBudget{}) — the batches a whole
+/// export sends — and serves everything else.
+class FailUnboundedWrapper : public LxpWrapper {
+ public:
+  explicit FailUnboundedWrapper(LxpWrapper* inner) : inner_(inner) {}
+  std::string GetRoot(const std::string& uri) override {
+    return inner_->GetRoot(uri);
+  }
+  FragmentList Fill(const std::string& hole_id) override {
+    return inner_->Fill(hole_id);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    if (budget.elements < 0 && budget.fills < 0) {
+      ++refused_;
+      return Status::Unavailable("export batch refused");
+    }
+    return inner_->TryFillMany(holes, budget, out);
+  }
+  int refused() const { return refused_; }
+
+ private:
+  LxpWrapper* inner_;
+  int refused_ = 0;
+};
+
+// Whole-export batches keep the cohort semantics: a refused one degrades
+// nothing, each demanded hole takes the single-hole path, and the walk
+// reads the exact document with no latched error.
+TEST(CohortFaultTest, FailedExportBatchesLeaveHolesFillable) {
+  auto homes = xml::MakeHomesDoc(20, 4);
+  wrappers::XmlLxpWrapper inner(homes.get());  // chunk 8
+  FailUnboundedWrapper wrapper(&inner);
+  net::SimClock clock;
+  BufferComponent::Options opts;
+  opts.clock = &clock;
+  opts.retry.max_attempts = 2;
+  opts.retry.jitter = 0;
+  BufferComponent buf(&wrapper, "homes.xml", opts);
+
+  buf.SetWholeExport(true);
+  EXPECT_EQ(WalkHomes(&buf, *homes, [] {}), 20);
+  buf.SetWholeExport(false);
+  EXPECT_GT(wrapper.refused(), 0);
+  BufferComponent::Stats st = buf.stats();
+  EXPECT_EQ(st.degraded_holes, 0);
+  EXPECT_EQ(st.holes_outstanding, 0);
+  EXPECT_TRUE(buf.TakeStatus().ok());
+
+  wrappers::XmlLxpWrapper clean(homes.get());
+  BufferComponent baseline(&clean, "homes.xml");
+  EXPECT_EQ(testing::MaterializeToTerm(&buf),
+            testing::MaterializeToTerm(&baseline));
+}
+
 // Service level, E13 faults at p=0.2 on both sources of the Fig. 3 join,
 // with and without retries and per-command deadlines: every session either
 // answers exactly the eager reference evaluation or reports a typed error.
@@ -912,20 +1069,14 @@ TEST(CohortFaultTest, OkAnswersEqualReferenceUnderFaults) {
       for (int session = 0; session < 6; ++session) {
         auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
         doc->set_deadline_ns(deadline_ns);
-        // One full-depth fetch, rebuilt here: xml::Materialize aborts on a
-        // failed fetch instead of reporting it.
-        NodeId root = doc->Root();
-        std::vector<SubtreeEntry> entries;
-        if (root.valid()) doc->FetchSubtree(root, -1, &entries);
+        Result<std::unique_ptr<xml::Document>> lazy =
+            xml::Materialize(doc.get());
         if (doc->last_status().ok()) {
           ++ok;
-          xml::Document lazy_doc;
-          const xml::Node* lazy =
-              xml::BuildFromSubtreeEntries(entries, &lazy_doc);
-          ASSERT_NE(lazy, nullptr);
-          EXPECT_EQ(xml::ToTerm(lazy), expected) << "attempts=" << attempts
-                                    << " deadline=" << deadline_ns
-                                    << " session=" << session;
+          ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+          EXPECT_EQ(xml::ToTerm(lazy.value()->root()), expected)
+              << "attempts=" << attempts << " deadline=" << deadline_ns
+              << " session=" << session;
         } else {
           ++errors;
         }

@@ -51,7 +51,8 @@ TEST(FreshnessTest, VirtualViewSeesSourceUpdates) {
   auto virtual_mediator = LazyMediator::Build(*plan, sources).ValueOrDie();
 
   // The warehouse materializes the view once, up front.
-  auto warehouse_copy = xml::Materialize(virtual_mediator->document());
+  auto warehouse_copy =
+      xml::Materialize(virtual_mediator->document()).ValueOrDie();
   xml::DocNavigable warehouse(warehouse_copy.get());
 
   EXPECT_EQ(testing::MaterializeToTerm(&warehouse),

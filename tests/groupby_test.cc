@@ -141,6 +141,75 @@ TEST(GroupByTest, EmptyGroupVarsOnEmptyInputYieldsOneEmptyList) {
   EXPECT_EQ(testing::StreamToTerm(&gb), "bs[b[All[list]]]");
 }
 
+/// Forwards to a binding stream and counts the enumeration calls it gets.
+class CountingStream : public BindingStream {
+ public:
+  explicit CountingStream(BindingStream* inner) : inner_(inner) {}
+  const VarList& schema() const override { return inner_->schema(); }
+  std::optional<NodeId> FirstBinding() override {
+    ++calls;
+    return inner_->FirstBinding();
+  }
+  std::optional<NodeId> NextBinding(const NodeId& b) override {
+    ++calls;
+    return inner_->NextBinding(b);
+  }
+  ValueRef Attr(const NodeId& b, const std::string& var) override {
+    return inner_->Attr(b, var);
+  }
+  int calls = 0;
+
+ private:
+  BindingStream* inner_;
+};
+
+// The one group of groupBy {} exists whatever the input holds, so its
+// binding and its list's label cost no input navigation; the first
+// navigation of the list probes the input once.
+TEST(GroupByTest, EmptyGroupVarsBindingDoesNotProbeInput) {
+  for (bool cache_input : {true, false}) {
+    Example8 fix;
+    CountingStream counted(fix.stream.get());
+    GroupByOp gb(&counted, {}, "S", "All", GroupByOp::Options{cache_input});
+    std::optional<NodeId> b = gb.FirstBinding();
+    ASSERT_TRUE(b.has_value());
+    EXPECT_FALSE(gb.NextBinding(*b).has_value());
+    ValueRef list = gb.Attr(*b, "All");
+    EXPECT_EQ(list.nav->Fetch(list.id), "list");
+    EXPECT_EQ(counted.calls, 0) << "cache_input=" << cache_input;
+
+    std::optional<NodeId> first = list.nav->Down(list.id);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(list.nav->Fetch(*first), "school1");
+    EXPECT_EQ(counted.calls, 1) << "cache_input=" << cache_input;
+    EXPECT_EQ(testing::StreamToTerm(&gb),
+              "bs[b[All[list[school1,school2,school3,school4,school5]]]]");
+  }
+}
+
+// groupBy {} over empty input: the probe settles on the empty list, seen
+// the same way by every navigation of it.
+TEST(GroupByTest, EmptyGroupVarsOnEmptyInputListHasNoItems) {
+  for (bool cache_input : {true, false}) {
+    testing::VectorBindingStream empty(VarList{"X"}, {});
+    GroupByOp gb(&empty, {}, "X", "All", GroupByOp::Options{cache_input});
+    std::optional<NodeId> b = gb.FirstBinding();
+    ASSERT_TRUE(b.has_value());
+    ValueRef list = gb.Attr(*b, "All");
+    std::vector<SubtreeEntry> cut;
+    list.nav->FetchSubtree(list.id, 0, &cut);
+    ASSERT_EQ(cut.size(), 1u);
+    EXPECT_FALSE(cut[0].truncated);
+    EXPECT_FALSE(list.nav->Down(list.id).has_value());
+    std::vector<NodeId> items;
+    list.nav->DownAll(list.id, &items);
+    EXPECT_TRUE(items.empty());
+    std::vector<SubtreeEntry> full;
+    list.nav->FetchSubtree(list.id, -1, &full);
+    EXPECT_EQ(full.size(), 1u);
+  }
+}
+
 TEST(GroupByTest, NonEmptyGroupVarsOnEmptyInputIsEmpty) {
   testing::VectorBindingStream empty(VarList{"K", "X"}, {});
   GroupByOp gb(&empty, {"K"}, "X", "L");

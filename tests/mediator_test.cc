@@ -88,9 +88,15 @@ TEST(MediatorTest, RootHandleWithoutSourceAccess) {
   EXPECT_EQ(homes_stats.total(), 0);
   EXPECT_EQ(schools_stats.total(), 0);
 
-  // First use of the handle resolves the first binding lazily: a handful
-  // of navigations, far from a full evaluation of either source.
+  // The root's label is free too: the answer's groupBy {} has exactly one
+  // group whatever the sources hold, so nothing is probed yet.
   EXPECT_EQ(mediator->document()->Fetch(root), "answer");
+  EXPECT_EQ(homes_stats.total(), 0);
+  EXPECT_EQ(schools_stats.total(), 0);
+
+  // The first descent resolves the first binding lazily: a handful of
+  // navigations, far from a full evaluation of either source.
+  ASSERT_TRUE(mediator->document()->Down(root).has_value());
   EXPECT_GT(homes_stats.total(), 0);
   EXPECT_LT(homes_stats.total(), 25);
   EXPECT_LT(schools_stats.total(), 25);

@@ -69,7 +69,7 @@ E6Run RunE6(size_t memo_capacity) {
 
   std::string answer;
   for (int pass = 0; pass < 3; ++pass) {
-    auto full = xml::Materialize(med->document());
+    auto full = xml::Materialize(med->document()).ValueOrDie();
     std::string term = xml::ToTerm(full->root());
     if (pass == 0) {
       answer = term;

@@ -224,7 +224,7 @@ TEST_P(RandomWalkTest, VirtualAnswersLikeMaterialized) {
   auto mediator = LazyMediator::Build(*plan, sources).ValueOrDie();
   Navigable* virt = mediator->document();
 
-  auto materialized = xml::Materialize(virt);
+  auto materialized = xml::Materialize(virt).ValueOrDie();
   xml::DocNavigable mat_nav(materialized.get());
 
   // Pool of live (virtual id, materialized id) pairs; random commands.

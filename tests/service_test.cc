@@ -18,13 +18,17 @@
 #include "client/client.h"
 #include "client/framed_document.h"
 #include "mediator/instantiate.h"
+#include "mediator/reference_eval.h"
 #include "mediator/translate.h"
 #include "service/service.h"
 #include "service/session.h"
 #include "service/wire.h"
 #include "test_util.h"
 #include "wrappers/xml_lxp_wrapper.h"
+#include "xmas/parser.h"
 #include "xml/doc_navigable.h"
+#include "xml/materialize.h"
+#include "xml/random_tree.h"
 
 namespace mix::service {
 namespace {
@@ -80,12 +84,13 @@ class SlowNavigable : public Navigable {
   std::chrono::milliseconds delay_;
 };
 
-/// A kFetch request for `doc`'s root — the command the deadline/overload
-/// tests queue up (Fetch resolves the first binding through the sources, so
-/// it is the slow one when a source is slow).
-std::optional<Frame> MakeFetchRoot(FramedDocument* doc) {
+/// A kDown request for `doc`'s root — the command the deadline/overload
+/// tests queue up (the first descent resolves the first binding through the
+/// sources, so it is the slow one when a source is slow; the root's label
+/// costs no source access).
+std::optional<Frame> MakeDownRoot(FramedDocument* doc) {
   Frame f;
-  f.type = MsgType::kFetch;
+  f.type = MsgType::kDown;
   f.session = doc->session_id();
   f.node = doc->Root();
   if (!f.node.valid()) return std::nullopt;
@@ -416,9 +421,9 @@ TEST(ServiceTest, DeadlineExpiryWhileQueued) {
   MediatorService service(&env, options);
   auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
 
-  // Slow request first (async, no deadline): Fetch(root) resolves the first
+  // Slow request first (async, no deadline): Down(root) resolves the first
   // binding, which fetches through the slow source.
-  Frame slow = *MakeFetchRoot(doc.get());
+  Frame slow = *MakeDownRoot(doc.get());
   std::atomic<bool> slow_done{false};
   service.CallAsync(wire::EncodeFrame(slow),
                     [&slow_done](std::string) { slow_done = true; });
@@ -453,8 +458,8 @@ TEST(ServiceTest, OverloadRejectsWithUnavailable) {
   MediatorService service(&env, options);
   auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
 
-  Frame fetch = *MakeFetchRoot(doc.get());
-  std::string bytes = wire::EncodeFrame(fetch);
+  Frame down = *MakeDownRoot(doc.get());
+  std::string bytes = wire::EncodeFrame(down);
 
   // #1 occupies the single worker (slow source); #2 fills the single queue
   // slot; #3 must be refused at the door with kUnavailable.
@@ -462,7 +467,7 @@ TEST(ServiceTest, OverloadRejectsWithUnavailable) {
   service.CallAsync(bytes, [&completions](std::string) { ++completions; });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let #1 start
   service.CallAsync(bytes, [&completions](std::string) { ++completions; });
-  Result<Frame> rejected = wire::Call(&service, fetch);
+  Result<Frame> rejected = wire::Call(&service, down);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), Status::Code::kUnavailable);
   EXPECT_GE(service.Metrics().requests_rejected, 1);
@@ -731,6 +736,163 @@ TEST(ServiceTest, MetricsFrameRoundTrip) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().type, MsgType::kMetricsText);
   EXPECT_NE(resp.value().text.find("sessions"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy answer root and whole-answer exports.
+// ---------------------------------------------------------------------------
+
+/// Counts the LXP exchanges a wrapper answers: get_root, single fills and
+/// batches (a batch is one exchange however many holes it carries).
+class ExchangeCountingWrapper : public buffer::LxpWrapper {
+ public:
+  ExchangeCountingWrapper(std::unique_ptr<buffer::LxpWrapper> inner,
+                          std::atomic<int>* exchanges)
+      : inner_(std::move(inner)), exchanges_(exchanges) {}
+  std::string GetRoot(const std::string& uri) override {
+    return inner_->GetRoot(uri);
+  }
+  buffer::FragmentList Fill(const std::string& hole_id) override {
+    return inner_->Fill(hole_id);
+  }
+  Status TryGetRoot(const std::string& uri, std::string* out) override {
+    ++*exchanges_;
+    return inner_->TryGetRoot(uri, out);
+  }
+  Status TryFill(const std::string& hole_id,
+                 buffer::FragmentList* out) override {
+    ++*exchanges_;
+    return inner_->TryFill(hole_id, out);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const buffer::FillBudget& budget,
+                     buffer::HoleFillList* out) override {
+    ++*exchanges_;
+    return inner_->TryFillMany(holes, budget, out);
+  }
+
+ private:
+  std::unique_ptr<buffer::LxpWrapper> inner_;
+  std::atomic<int>* exchanges_;
+};
+
+/// Fig. 3 over 48 homes and 48 schools, chunk-8 XML wrappers that count
+/// their exchanges, caches off, optimizer off (so an in-process mediator
+/// over plain buffers runs the very same plan).
+class Fig3ExchangeFixture {
+ public:
+  Fig3ExchangeFixture()
+      : homes_(xml::MakeHomesDoc(48, 12)),
+        schools_(xml::MakeSchoolsDoc(48, 12)) {
+    env_.RegisterWrapperFactory(
+        "homesSrc",
+        [this] { return Counted(homes_.get()); }, "homes.xml");
+    env_.RegisterWrapperFactory(
+        "schoolsSrc",
+        [this] { return Counted(schools_.get()); }, "schools.xml");
+  }
+
+  std::unique_ptr<buffer::LxpWrapper> Counted(const xml::Document* doc) {
+    return std::make_unique<ExchangeCountingWrapper>(
+        std::make_unique<wrappers::XmlLxpWrapper>(doc), &exchanges_);
+  }
+  MediatorService::Options ServiceOptions() const {
+    MediatorService::Options options;
+    options.optimizer_level = 0;
+    return options;
+  }
+  mediator::PlanPtr Plan() const {
+    return mediator::TranslateQuery(xmas::ParseQuery(kFig3).ValueOrDie())
+        .ValueOrDie();
+  }
+  std::string Reference() const {
+    xml::Document scratch;
+    mediator::ReferenceSources ref{{"homesSrc", homes_->root()},
+                                   {"schoolsSrc", schools_->root()}};
+    return xml::ToTerm(
+        mediator::EvaluateReference(*Plan(), ref, &scratch).ValueOrDie());
+  }
+  /// Exchanges since the last call.
+  int Take() { return exchanges_.exchange(0); }
+  const SessionEnvironment& env() const { return env_; }
+
+ private:
+  std::unique_ptr<xml::Document> homes_;
+  std::unique_ptr<xml::Document> schools_;
+  std::atomic<int> exchanges_{0};
+  SessionEnvironment env_;
+};
+
+// The answer root and its label cost no source exchange; the whole-answer
+// export then costs one exchange per level of each source tree (get_root,
+// root element, record list with its continuations, every record's
+// children): 8 for the two sources, and the answer is the reference one.
+TEST(WholeExportTest, Fig3OpenIsFreeAndExportTakesOneExchangePerLevel) {
+  Fig3ExchangeFixture fx;
+  MediatorService service(&fx.env(), fx.ServiceOptions());
+  auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  NodeId root = doc->Root();
+  ASSERT_TRUE(root.valid());
+  EXPECT_EQ(doc->Fetch(root), "answer");
+  EXPECT_EQ(fx.Take(), 0);
+
+  std::vector<SubtreeEntry> entries;
+  doc->FetchSubtree(root, -1, &entries);
+  EXPECT_TRUE(doc->last_status().ok()) << doc->last_status().ToString();
+  EXPECT_LE(fx.Take(), 8);
+  xml::Document out;
+  const xml::Node* answer = xml::BuildFromSubtreeEntries(entries, &out);
+  ASSERT_NE(answer, nullptr);
+  EXPECT_EQ(xml::ToTerm(answer), fx.Reference());
+}
+
+// Only the whole-answer export takes unbounded batches: a browse and a
+// non-root FetchSubtree through the service cost exactly the exchanges the
+// same commands cost on a mediator over plain buffers (the sibling-cohort
+// rule of the buffer, no export flag).
+TEST(WholeExportTest, BrowseAndNonRootFetchKeepCohortCounts) {
+  Fig3ExchangeFixture fx;
+  MediatorService service(&fx.env(), fx.ServiceOptions());
+  auto framed = FramedDocument::Open(&service, kFig3).ValueOrDie();
+
+  // The in-process stack: the fixture's own wrapper factories under plain
+  // buffers.
+  mediator::SourceRegistry sources;
+  std::vector<std::unique_ptr<buffer::LxpWrapper>> wrappers;
+  std::vector<std::unique_ptr<buffer::BufferComponent>> buffers;
+  for (const auto& source : fx.env().wrappers()) {
+    wrappers.push_back(source.factory());
+    buffers.push_back(std::make_unique<buffer::BufferComponent>(
+        wrappers.back().get(), source.uri));
+    sources.Register(source.name, buffers.back().get());
+  }
+  auto mediator =
+      mediator::LazyMediator::Build(*fx.Plan(), sources).ValueOrDie();
+  fx.Take();
+
+  // Descend to the first med_home, export it, walk to the second one and
+  // browse into its home.
+  auto run = [&](Navigable* doc) {
+    std::vector<int> costs;
+    NodeId root = doc->Root();
+    std::optional<NodeId> first = doc->Down(root);
+    costs.push_back(fx.Take());
+    std::vector<SubtreeEntry> entries;
+    if (first) doc->FetchSubtree(*first, -1, &entries);
+    costs.push_back(fx.Take());
+    std::optional<NodeId> second = first ? doc->Right(*first) : std::nullopt;
+    std::optional<NodeId> home = second ? doc->Down(*second) : std::nullopt;
+    std::optional<NodeId> addr = home ? doc->Down(*home) : std::nullopt;
+    if (addr) (void)doc->Fetch(*addr);
+    costs.push_back(fx.Take());
+    costs.push_back(static_cast<int>(entries.size()));
+    return costs;
+  };
+  std::vector<int> in_process = run(mediator->document());
+  std::vector<int> served = run(framed.get());
+  EXPECT_EQ(served, in_process);
+  EXPECT_GT(in_process[0], 0);
+  EXPECT_TRUE(framed->last_status().ok());
 }
 
 }  // namespace

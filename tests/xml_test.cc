@@ -164,7 +164,7 @@ TEST(DocNavigableTest, NavigationFromStaleIdsWorks) {
 TEST(MaterializeTest, CopiesWholeTree) {
   auto doc = ParseTerm("r[a[x,y],b[z]]").ValueOrDie();
   DocNavigable nav(doc.get());
-  auto copy = Materialize(&nav);
+  auto copy = Materialize(&nav).ValueOrDie();
   EXPECT_TRUE(TreeEquals(doc->root(), copy->root()));
 }
 
