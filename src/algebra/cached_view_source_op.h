@@ -6,7 +6,7 @@
 //   * kDocument — the singleton binding list bs[b[v[root]]] over the
 //     snapshot's root. Composed under tupleDestroy it reproduces the donor
 //     session's answer byte-for-byte (tupleDestroy forwards vectored
-//     FetchSubtree straight to the snapshot's DocNavigable).
+//     FetchSubtree straight to the snapshot's FlatAnswerTree).
 //   * kChildren — one binding per child of the snapshot root, in document
 //     order. This re-exposes the donor's grouped member list so a residual
 //     select / groupBy / createElement stack can narrow it (subsumption

@@ -1,9 +1,11 @@
 #include "mediator/answer_view_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <limits>
 
-#include "xml/materialize.h"
+#include "core/check.h"
 
 namespace mix::mediator {
 
@@ -14,7 +16,7 @@ using Op = algebra::CompareOp;
 
 /// Label the buffer splices in for holes that exhausted their retries
 /// (buffer.h); answers containing it are partial and must not be shared.
-constexpr char kUnavailableLabel[] = "#unavailable";
+const Atom kUnavailableLabel = Atom::Intern("#unavailable");
 
 void CollectSources(const PlanNode& n, std::vector<std::string>* out) {
   if (n.kind == Kind::kSource) out->push_back(n.source_name);
@@ -152,7 +154,177 @@ PlanPtr BuildChildrenServingPlan(const ViewShape& shape) {
   return PlanNode::TupleDestroy(std::move(inner), shape.create_out);
 }
 
+const Atom kFlatViewTag = Atom::Intern("fv");
+
+int64_t NextTreeInstance() {
+  static std::atomic<int64_t> counter{1};
+  return counter.fetch_add(1);
+}
+
 }  // namespace
+
+FlatAnswerTree::FlatAnswerTree() : instance_(NextTreeInstance()) {}
+
+std::unique_ptr<FlatAnswerTree> FlatAnswerTree::Build(
+    const std::vector<SubtreeEntry>& entries) {
+  if (entries.empty() ||
+      entries.size() >
+          static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    return nullptr;
+  }
+  std::unique_ptr<FlatAnswerTree> tree(new FlatAnswerTree());
+  // Exact reservations: the charge is the arrays' capacity, which then
+  // equals what the tree holds.
+  tree->labels_.reserve(entries.size());
+  tree->ends_.reserve(entries.size());
+  // open[d] is the index of the open node at depth d; an entry at depth d
+  // closes every open node at depth >= d.
+  std::vector<int32_t> open;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const SubtreeEntry& e = entries[i];
+    if (e.truncated) return nullptr;
+    if (i == 0 ? e.depth != 0
+               : (e.depth < 1 || static_cast<size_t>(e.depth) > open.size())) {
+      return nullptr;
+    }
+    const int32_t index = static_cast<int32_t>(i);
+    while (open.size() > static_cast<size_t>(e.depth)) {
+      tree->ends_[static_cast<size_t>(open.back())] = index;
+      open.pop_back();
+    }
+    tree->labels_.push_back(e.label);
+    tree->ends_.push_back(0);
+    tree->label_bytes_ += static_cast<int64_t>(e.label.name().size());
+    open.push_back(index);
+  }
+  const int32_t n = static_cast<int32_t>(entries.size());
+  for (int32_t index : open) tree->ends_[static_cast<size_t>(index)] = n;
+  return tree;
+}
+
+NodeId FlatAnswerTree::MakeId(int32_t index, int32_t limit) const {
+  return NodeId(kFlatViewTag, instance_, int64_t{index}, int64_t{limit});
+}
+
+FlatAnswerTree::Pos FlatAnswerTree::Resolve(const NodeId& p) const {
+  MIX_CHECK_MSG(p.valid() && p.tag_atom() == kFlatViewTag &&
+                    p.arity() == 3 && p.IntAt(0) == instance_,
+                "foreign node-id passed to FlatAnswerTree");
+  const int64_t index = p.IntAt(1);
+  const int64_t limit = p.IntAt(2);
+  MIX_CHECK_MSG(index >= 0 && index < limit && limit <= node_count() &&
+                    ends_[static_cast<size_t>(index)] <= limit,
+                "malformed FlatAnswerTree node-id");
+  return Pos{static_cast<int32_t>(index), static_cast<int32_t>(limit)};
+}
+
+FlatAnswerTree::Pos FlatAnswerTree::FirstChild(int32_t i) const {
+  const int32_t end = ends_[static_cast<size_t>(i)];
+  return end > i + 1 ? Pos{i + 1, end} : Pos{-1, end};
+}
+
+NodeId FlatAnswerTree::Root() {
+  return MakeId(0, static_cast<int32_t>(node_count()));
+}
+
+std::optional<NodeId> FlatAnswerTree::Down(const NodeId& p) {
+  Pos c = FirstChild(Resolve(p).index);
+  if (c.index < 0) return std::nullopt;
+  return MakeId(c.index, c.limit);
+}
+
+std::optional<NodeId> FlatAnswerTree::Right(const NodeId& p) {
+  Pos s = Resolve(p);
+  const int32_t next = ends_[static_cast<size_t>(s.index)];
+  if (next >= s.limit) return std::nullopt;
+  return MakeId(next, s.limit);
+}
+
+Label FlatAnswerTree::Fetch(const NodeId& p) {
+  return labels_[static_cast<size_t>(Resolve(p).index)].name();
+}
+
+Atom FlatAnswerTree::FetchAtom(const NodeId& p) {
+  return labels_[static_cast<size_t>(Resolve(p).index)];
+}
+
+std::optional<NodeId> FlatAnswerTree::SelectSibling(
+    const NodeId& p, const LabelPredicate& pred) {
+  Pos s = Resolve(p);
+  for (int32_t j = ends_[static_cast<size_t>(s.index)]; j < s.limit;
+       j = ends_[static_cast<size_t>(j)]) {
+    const Atom label = labels_[static_cast<size_t>(j)];
+    if (pred.is_equality() ? label == pred.equals_atom()
+                           : pred.Matches(label.name())) {
+      return MakeId(j, s.limit);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<NodeId> FlatAnswerTree::NthChild(const NodeId& p,
+                                               int64_t index) {
+  Pos c = FirstChild(Resolve(p).index);
+  if (index < 0 || c.index < 0) return std::nullopt;
+  for (int64_t k = 0; k < index; ++k) {
+    c.index = ends_[static_cast<size_t>(c.index)];
+    if (c.index >= c.limit) return std::nullopt;
+  }
+  return MakeId(c.index, c.limit);
+}
+
+void FlatAnswerTree::DownAll(const NodeId& p, std::vector<NodeId>* out) {
+  Pos c = FirstChild(Resolve(p).index);
+  if (c.index < 0) return;
+  for (int32_t j = c.index; j < c.limit; j = ends_[static_cast<size_t>(j)]) {
+    out->push_back(MakeId(j, c.limit));
+  }
+}
+
+void FlatAnswerTree::NextSiblings(const NodeId& p, int64_t limit,
+                                  std::vector<NodeId>* out) {
+  Pos s = Resolve(p);
+  for (int32_t j = ends_[static_cast<size_t>(s.index)];
+       j < s.limit && limit != 0; j = ends_[static_cast<size_t>(j)]) {
+    out->push_back(MakeId(j, s.limit));
+    if (limit > 0) --limit;
+  }
+}
+
+void FlatAnswerTree::FetchSubtree(const NodeId& p, int64_t depth,
+                                  std::vector<SubtreeEntry>* out) {
+  // A slice of the pre-order array. The depth of each node relative to
+  // `p` is the number of its still-open ancestors inside the slice, whose
+  // subtree ends `open` holds innermost last; the innermost one is also
+  // the parent end a truncated entry's resume id needs.
+  const Pos s = Resolve(p);
+  const int32_t stop = ends_[static_cast<size_t>(s.index)];
+  if (depth < 0) out->reserve(out->size() + static_cast<size_t>(stop - s.index));
+  std::vector<int32_t> open;
+  for (int32_t k = s.index; k < stop;) {
+    while (!open.empty() && open.back() <= k) open.pop_back();
+    const int32_t end = ends_[static_cast<size_t>(k)];
+    const bool cut = depth >= 0 && static_cast<int64_t>(open.size()) >= depth &&
+                     end > k + 1;
+    out->push_back(SubtreeEntry{
+        labels_[static_cast<size_t>(k)], static_cast<int32_t>(open.size()),
+        cut, cut ? MakeId(k, open.empty() ? s.limit : open.back())
+                 : NodeId()});
+    if (cut) {
+      k = end;
+      continue;
+    }
+    if (end > k + 1) open.push_back(end);
+    ++k;
+  }
+}
+
+int64_t SnapshotCharge(const FlatAnswerTree& tree) {
+  return static_cast<int64_t>(tree.labels().capacity() * sizeof(Atom) +
+                              tree.subtree_ends().capacity() *
+                                  sizeof(int32_t)) +
+         tree.label_bytes() + kSnapshotFixedBytes;
+}
 
 bool PredicateImplies(const ViewPredicate& have, const ViewPredicate& want) {
   if (have.var != want.var) return false;
@@ -290,25 +462,21 @@ void AnswerViewCache::Publish(
     ++rejects_[reason];
   };
   if (!shape.valid) return reject("shape");
-  int64_t bytes = 0;
   for (const SubtreeEntry& e : entries) {
     if (e.truncated) return reject("truncated");
-    if (e.label.name() == kUnavailableLabel) return reject("degraded");
-    bytes += static_cast<int64_t>(e.label.name().size()) + kViewNodeOverheadBytes;
+    if (e.label == kUnavailableLabel) return reject("degraded");
   }
   if (shape.factored && !entries.empty() &&
       entries[0].label.name() != shape.root_label) {
     return reject("shape");
   }
-  if (bytes > options_.byte_budget) return reject("budget");
 
   // Build the snapshot outside the lock; a losing duplicate is dropped.
   auto snap = std::make_shared<AnswerSnapshot>();
-  snap->doc = std::make_unique<xml::Document>();
-  xml::Node* root = xml::BuildFromSubtreeEntries(entries, snap->doc.get());
-  if (root == nullptr) return reject("malformed");
-  snap->doc->set_root(root);
-  snap->nav = std::make_unique<xml::DocNavigable>(snap->doc.get());
+  snap->tree = FlatAnswerTree::Build(entries);
+  if (snap->tree == nullptr) return reject("malformed");
+  const int64_t bytes = SnapshotCharge(*snap->tree);
+  if (bytes > options_.byte_budget) return reject("budget");
   snap->bytes = bytes;
   snap->shape = shape;
   snap->generations = pinned_generations;

@@ -34,14 +34,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/binding_stream.h"
 #include "core/navigable.h"
 #include "mediator/plan.h"
-#include "xml/doc_navigable.h"
-#include "xml/tree.h"
 
 namespace mix::mediator {
 
@@ -49,10 +48,10 @@ namespace mix::mediator {
 /// snapshot navigable is registered (rewritten plans reference it).
 inline constexpr char kAnswerViewSourceName[] = "__answer_view";
 
-/// Per-node byte-accounting overhead added to each snapshot label
-/// (arena node + child-vector bookkeeping), mirroring SourceCache's
-/// entry-overhead convention.
-inline constexpr int64_t kViewNodeOverheadBytes = 64;
+/// Fixed per-snapshot charge on top of the flat arrays and label bytes:
+/// the AnswerSnapshot and FlatAnswerTree objects, the descriptor, the
+/// generation pins and the LRU/index bookkeeping of one entry.
+inline constexpr int64_t kSnapshotFixedBytes = 512;
 
 /// One stripped var-constant conjunct of a view descriptor.
 struct ViewPredicate {
@@ -97,11 +96,72 @@ ViewShape ComputeViewShape(const PlanNode& raw_plan);
 /// constant orderings must agree — see file comment).
 bool PredicateImplies(const ViewPredicate& have, const ViewPredicate& want);
 
+/// An immutable answer tree in flat pre-order. Node i holds its label atom
+/// and the index one past the last node of its subtree, so a node's first
+/// child is i + 1 (when its subtree holds more than itself) and its right
+/// sibling is its subtree end (when that is below the parent's end). Ids are
+/// `fv(instance, index, limit)`, where `limit` is the subtree end of the
+/// node's parent (the node count for the root): every command is index
+/// arithmetic over the two arrays, with no parent links. Nothing is mutated
+/// after Build, so sessions on any worker share one tree without locks.
+class FlatAnswerTree : public Navigable {
+ public:
+  /// Builds the tree in one pass from a full-depth pre-order export.
+  /// Returns nullptr when the export is empty, holds a truncated entry, or
+  /// its depth sequence is not a valid pre-order (first entry at depth 0,
+  /// every later one at depth >= 1 and at most one level deeper than its
+  /// predecessor).
+  static std::unique_ptr<FlatAnswerTree> Build(
+      const std::vector<SubtreeEntry>& entries);
+
+  int64_t node_count() const { return static_cast<int64_t>(labels_.size()); }
+  const std::vector<Atom>& labels() const { return labels_; }
+  const std::vector<int32_t>& subtree_ends() const { return ends_; }
+  /// Sum of the label texts' sizes, one per node. The texts live once in
+  /// the process-wide atom table, so this overcounts shared labels.
+  int64_t label_bytes() const { return label_bytes_; }
+
+  NodeId Root() override;
+  std::optional<NodeId> Down(const NodeId& p) override;
+  std::optional<NodeId> Right(const NodeId& p) override;
+  Label Fetch(const NodeId& p) override;
+  Atom FetchAtom(const NodeId& p) override;
+  std::optional<NodeId> SelectSibling(const NodeId& p,
+                                      const LabelPredicate& pred) override;
+  std::optional<NodeId> NthChild(const NodeId& p, int64_t index) override;
+  void DownAll(const NodeId& p, std::vector<NodeId>* out) override;
+  void NextSiblings(const NodeId& p, int64_t limit,
+                    std::vector<NodeId>* out) override;
+  void FetchSubtree(const NodeId& p, int64_t depth,
+                    std::vector<SubtreeEntry>* out) override;
+
+ private:
+  struct Pos {
+    int32_t index;
+    int32_t limit;  ///< subtree end of the parent
+  };
+
+  FlatAnswerTree();
+  Pos Resolve(const NodeId& p) const;
+  NodeId MakeId(int32_t index, int32_t limit) const;
+  /// First child of `i` as a position, or index -1 for a leaf.
+  Pos FirstChild(int32_t i) const;
+
+  const int64_t instance_;
+  std::vector<Atom> labels_;
+  std::vector<int32_t> ends_;
+  int64_t label_bytes_ = 0;
+};
+
+/// Bytes a snapshot over `tree` is charged against the cache budget: the
+/// arrays' allocated bytes, the label bytes and kSnapshotFixedBytes.
+int64_t SnapshotCharge(const FlatAnswerTree& tree);
+
 /// An immutable published answer. Sessions pin it via shared_ptr, so LRU
 /// eviction never invalidates an in-flight reader.
 struct AnswerSnapshot {
-  std::unique_ptr<xml::Document> doc;
-  std::unique_ptr<xml::DocNavigable> nav;
+  std::unique_ptr<FlatAnswerTree> tree;
+  /// SnapshotCharge(*tree).
   int64_t bytes = 0;
   ViewShape shape;
   /// Answer-view generations of shape.sources pinned when the donor

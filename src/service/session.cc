@@ -119,7 +119,7 @@ Result<std::shared_ptr<Session>> Session::Build(
     session->view_snapshot_ = std::move(view_snapshot);
     mediator::SourceRegistry sources;
     sources.Register(mediator::kAnswerViewSourceName,
-                     session->view_snapshot_->nav.get());
+                     session->view_snapshot_->tree.get());
     Result<std::unique_ptr<mediator::LazyMediator>> instance =
         mediator::LazyMediator::Build(*session->plan_, sources);
     if (!instance.ok()) return instance.status();

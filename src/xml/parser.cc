@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <string>
+#include <vector>
 
 namespace mix::xml {
 
@@ -171,87 +172,98 @@ class XmlParser {
     }
   }
 
-  Status ParseContent(Document* doc, Node* element) {
-    std::string text;
-    auto flush_text = [&] {
-      // Whitespace-only runs between elements are formatting, not data.
-      bool all_ws = true;
-      for (char c : text) {
-        if (!std::isspace(static_cast<unsigned char>(c))) {
-          all_ws = false;
-          break;
-        }
-      }
-      if (!text.empty() && !all_ws) {
-        // Trim leading/trailing whitespace of mixed content.
-        size_t b = text.find_first_not_of(" \t\r\n");
-        size_t e = text.find_last_not_of(" \t\r\n");
-        doc->AppendChild(element, doc->NewText(text.substr(b, e - b + 1)));
-      }
-      text.clear();
-    };
-    for (;;) {
-      if (cur_.AtEnd()) return cur_.Error("unterminated element <" + element->label + ">");
-      if (cur_.StartsWith("</")) {
-        flush_text();
-        cur_.Skip(2);
-        std::string name;
-        Status s = ParseName(&name);
-        if (!s.ok()) return s;
-        if (name != element->label) {
-          return cur_.Error("mismatched end tag </" + name + ">, expected </" +
-                            element->label + ">");
-        }
-        cur_.SkipWhitespace();
-        if (cur_.AtEnd() || cur_.Peek() != '>') return cur_.Error("expected '>'");
-        cur_.Next();
-        return Status::OK();
-      }
-      if (cur_.StartsWith("<!--")) {
-        flush_text();
-        Status s = SkipMisc();
-        if (!s.ok()) return s;
-        continue;
-      }
-      if (cur_.Peek() == '<') {
-        flush_text();
-        Node* child = nullptr;
-        Status s = ParseElement(doc, &child);
-        if (!s.ok()) return s;
-        doc->AppendChild(element, child);
-        continue;
-      }
-      if (cur_.Peek() == '&') {
-        cur_.Next();
-        Status s = DecodeEntity(&text);
-        if (!s.ok()) return s;
-        continue;
-      }
-      text.push_back(cur_.Next());
+  /// Appends the pending character data `*text` to `element` and clears
+  /// it. Whitespace-only runs between elements are formatting, not data;
+  /// mixed content is trimmed.
+  static void FlushText(Document* doc, Node* element, std::string* text) {
+    if (text->find_first_not_of(" \t\r\n\v\f") != std::string::npos) {
+      size_t b = text->find_first_not_of(" \t\r\n");
+      size_t e = text->find_last_not_of(" \t\r\n");
+      doc->AppendChild(element, doc->NewText(text->substr(b, e - b + 1)));
     }
+    text->clear();
   }
 
-  Status ParseElement(Document* doc, Node** out) {
-    // cur_ points at '<'.
+  /// Parses a start tag at the cursor ('<') with its attributes; `*empty`
+  /// is set for a self-closing tag.
+  Status ParseStartTag(Document* doc, Node** element, bool* empty) {
     cur_.Next();
     std::string name;
     Status s = ParseName(&name);
     if (!s.ok()) return s;
-    Node* element = doc->NewElement(name);
-    s = ParseAttributes(doc, element);
+    *element = doc->NewElement(name);
+    s = ParseAttributes(doc, *element);
     if (!s.ok()) return s;
-    if (cur_.Peek() == '/') {
+    *empty = cur_.Peek() == '/';
+    if (*empty) {
       cur_.Next();
       if (cur_.AtEnd() || cur_.Peek() != '>') return cur_.Error("expected '>'");
-      cur_.Next();
-      *out = element;
-      return Status::OK();
     }
     cur_.Next();  // '>'
-    s = ParseContent(doc, element);
-    if (!s.ok()) return s;
-    *out = element;
     return Status::OK();
+  }
+
+  /// Parses the element at the cursor ('<') and everything inside it. The
+  /// open elements live on an explicit stack, so the nesting depth of the
+  /// input never sets the depth of the call stack.
+  Status ParseElement(Document* doc, Node** out) {
+    std::vector<Node*> open;
+    std::string text;
+    for (;;) {
+      Node* element = nullptr;
+      bool empty = false;
+      Status s = ParseStartTag(doc, &element, &empty);
+      if (!s.ok()) return s;
+      if (open.empty()) {
+        *out = element;
+      } else {
+        doc->AppendChild(open.back(), element);
+      }
+      if (!empty) open.push_back(element);
+      // Content of the innermost open element, up to the next start tag.
+      for (;;) {
+        if (open.empty()) return Status::OK();
+        Node* parent = open.back();
+        if (cur_.AtEnd()) {
+          return cur_.Error("unterminated element <" + parent->label + ">");
+        }
+        if (cur_.StartsWith("</")) {
+          FlushText(doc, parent, &text);
+          cur_.Skip(2);
+          std::string name;
+          s = ParseName(&name);
+          if (!s.ok()) return s;
+          if (name != parent->label) {
+            return cur_.Error("mismatched end tag </" + name +
+                              ">, expected </" + parent->label + ">");
+          }
+          cur_.SkipWhitespace();
+          if (cur_.AtEnd() || cur_.Peek() != '>') {
+            return cur_.Error("expected '>'");
+          }
+          cur_.Next();
+          open.pop_back();
+          continue;
+        }
+        if (cur_.StartsWith("<!--")) {
+          FlushText(doc, parent, &text);
+          s = SkipMisc();
+          if (!s.ok()) return s;
+          continue;
+        }
+        if (cur_.Peek() == '<') {
+          FlushText(doc, parent, &text);
+          break;  // a child's start tag
+        }
+        if (cur_.Peek() == '&') {
+          cur_.Next();
+          s = DecodeEntity(&text);
+          if (!s.ok()) return s;
+          continue;
+        }
+        text.push_back(cur_.Next());
+      }
+    }
   }
 
   Cursor cur_;
@@ -290,36 +302,46 @@ class TermParser {
     return Status::OK();
   }
 
+  /// Parses one tree at the cursor. Open elements live on an explicit
+  /// stack, so the nesting depth of the input never sets the depth of the
+  /// call stack.
   Status ParseTree(Document* doc, Node** out) {
-    std::string label;
-    Status s = ParseLabel(&label);
-    if (!s.ok()) return s;
-    cur_.SkipWhitespace();
-    if (cur_.AtEnd() || cur_.Peek() != '[') {
-      *out = doc->NewText(label);
-      return Status::OK();
-    }
-    cur_.Next();  // '['
-    Node* element = doc->NewElement(label);
-    cur_.SkipWhitespace();
-    if (!cur_.AtEnd() && cur_.Peek() == ']') {
-      cur_.Next();
-      *out = element;
-      return Status::OK();
-    }
+    std::vector<Node*> open;
     for (;;) {
-      Node* child = nullptr;
-      s = ParseTree(doc, &child);
+      std::string label;
+      Status s = ParseLabel(&label);
       if (!s.ok()) return s;
-      doc->AppendChild(element, child);
       cur_.SkipWhitespace();
-      if (cur_.AtEnd()) return cur_.Error("unterminated '['");
-      char c = cur_.Next();
-      if (c == ']') break;
-      if (c != ',') return cur_.Error("expected ',' or ']'");
+      const bool element = !cur_.AtEnd() && cur_.Peek() == '[';
+      Node* node = element ? doc->NewElement(label) : doc->NewText(label);
+      if (open.empty()) {
+        *out = node;
+      } else {
+        doc->AppendChild(open.back(), node);
+      }
+      if (element) {
+        cur_.Next();  // '['
+        cur_.SkipWhitespace();
+        if (cur_.AtEnd() || cur_.Peek() != ']') {
+          open.push_back(node);
+          continue;  // its first child
+        }
+        cur_.Next();  // an empty element
+      }
+      // `node` is complete: close brackets up to the next sibling.
+      for (;;) {
+        if (open.empty()) return Status::OK();
+        cur_.SkipWhitespace();
+        if (cur_.AtEnd()) return cur_.Error("unterminated '['");
+        char c = cur_.Next();
+        if (c == ']') {
+          open.pop_back();
+          continue;
+        }
+        if (c != ',') return cur_.Error("expected ',' or ']'");
+        break;
+      }
     }
-    *out = element;
-    return Status::OK();
   }
 
   Cursor cur_;

@@ -4,18 +4,22 @@
 // rejection of degraded/truncated exports, LRU eviction under a byte
 // budget, generation-bump invalidation, and the end-to-end service path —
 // a subsumed warm Open is served from the snapshot with ZERO wrapper
-// exchanges at byte-identical answers.
+// exchanges at byte-identical answers — plus the flat snapshot navigable
+// (differential against DocNavigable) and its exact byte charge.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "buffer/lxp.h"
 #include "client/framed_document.h"
 #include "mediator/answer_view_cache.h"
 #include "mediator/instantiate.h"
+#include "mediator/reference_eval.h"
 #include "mediator/translate.h"
 #include "service/service.h"
 #include "service/session.h"
@@ -23,6 +27,7 @@
 #include "wrappers/xml_lxp_wrapper.h"
 #include "xml/doc_navigable.h"
 #include "xml/materialize.h"
+#include "xml/random_tree.h"
 
 namespace mix::mediator {
 namespace {
@@ -209,23 +214,27 @@ TEST(AnswerViewCacheTest, DegradedAndTruncatedExportsAreNeverPublished) {
   std::vector<SubtreeEntry> malformed = Export("answer[a,b]");
   malformed[2].depth = 5;  // depth can grow by at most 1 per entry
   cache.Publish(HandShape("k3"), malformed, {{"homesSrc", 0}});
+  std::vector<SubtreeEntry> two_roots = Export("answer[a,b]");
+  two_roots[2].depth = 0;
+  cache.Publish(HandShape("k4"), two_roots, {{"homesSrc", 0}});
+  std::vector<SubtreeEntry> deep_root = Export("answer[a]");
+  deep_root[0].depth = 1;
+  cache.Publish(HandShape("k5"), deep_root, {{"homesSrc", 0}});
+  cache.Publish(HandShape("k6"), {}, {{"homesSrc", 0}});
 
   AnswerViewCache::Stats s = cache.stats();
   EXPECT_EQ(s.publishes, 0);
   EXPECT_EQ(s.entries, 0);
   EXPECT_EQ(s.rejects["degraded"], 1);
   EXPECT_EQ(s.rejects["truncated"], 1);
-  EXPECT_EQ(s.rejects["malformed"], 1);
+  EXPECT_EQ(s.rejects["malformed"], 4);
 }
 
 TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
   // Budget sized for roughly one snapshot: the second publish evicts the
   // first (LRU), and the byte account stays within budget throughout.
   std::vector<SubtreeEntry> a = Export("answer[aaaa,bbbb]");
-  int64_t one = 0;
-  for (const SubtreeEntry& e : a) {
-    one += static_cast<int64_t>(e.label.name().size()) + kViewNodeOverheadBytes;
-  }
+  const int64_t one = SnapshotCharge(*FlatAnswerTree::Build(a));
   AnswerViewCache cache(AnswerViewCache::Options{one + one / 2});
   cache.Publish(HandShape("k1"), a, {{"homesSrc", 0}});
   EXPECT_EQ(cache.stats().entries, 1);
@@ -233,7 +242,7 @@ TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
   AnswerViewCache::Match m = cache.TryMatch(HandShape("k1"));
   ASSERT_NE(m.snapshot, nullptr);
   ASSERT_NE(m.plan, nullptr);
-  EXPECT_EQ(testing::MaterializeToTerm(m.snapshot->nav.get()),
+  EXPECT_EQ(testing::MaterializeToTerm(m.snapshot->tree.get()),
             "answer[aaaa,bbbb]");
 
   cache.Publish(HandShape("k2"), Export("answer[cccc,dddd]"), {{"homesSrc", 0}});
@@ -244,7 +253,7 @@ TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
   // k1 was evicted; the pinned shared_ptr from the earlier match stays
   // valid (eviction never invalidates an in-flight reader).
   EXPECT_EQ(cache.TryMatch(HandShape("k1")).snapshot, nullptr);
-  EXPECT_EQ(testing::MaterializeToTerm(m.snapshot->nav.get()),
+  EXPECT_EQ(testing::MaterializeToTerm(m.snapshot->tree.get()),
             "answer[aaaa,bbbb]");
 }
 
@@ -282,6 +291,226 @@ TEST(AnswerViewCacheTest, DisabledCacheIsInert) {
   AnswerViewCache::Stats s = cache.stats();
   EXPECT_EQ(s.publishes, 0);
   EXPECT_EQ(s.hits + s.misses, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Flat snapshot navigable: differential against DocNavigable, byte charge.
+// ---------------------------------------------------------------------------
+
+xml::Node* CopyInto(const xml::Node* n, xml::Document* doc) {
+  if (n->children.empty()) return doc->NewText(n->label);
+  xml::Node* e = doc->NewElement(n->label);
+  for (const xml::Node* c : n->children) doc->AppendChild(e, CopyInto(c, doc));
+  return e;
+}
+
+/// The Fig. 3 answer over 48 homes and 48 schools (12 zips), from the
+/// reference evaluator.
+std::unique_ptr<xml::Document> Fig3Answer() {
+  auto homes = xml::MakeHomesDoc(48, 12);
+  auto schools = xml::MakeSchoolsDoc(48, 12);
+  auto plan = CompileXmas(kFig3).ValueOrDie();
+  ReferenceSources ref{{"homesSrc", homes->root()},
+                       {"schoolsSrc", schools->root()}};
+  xml::Document scratch;
+  const xml::Node* answer =
+      EvaluateReference(*plan, ref, &scratch).ValueOrDie();
+  auto doc = std::make_unique<xml::Document>();
+  doc->set_root(CopyInto(answer, doc.get()));
+  return doc;
+}
+
+/// Random trees of several shapes plus the Fig. 3 answer and a lone leaf.
+std::vector<std::unique_ptr<xml::Document>> DifferentialTrees() {
+  std::vector<std::unique_ptr<xml::Document>> trees;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    xml::RandomTreeOptions o;
+    o.seed = seed;
+    o.max_depth = 4 + static_cast<int>(seed % 3);
+    o.max_fanout = 4 + static_cast<int>(seed % 4);
+    o.element_percent = 75;
+    o.label_alphabet = 3;
+    trees.push_back(xml::RandomTree(o));
+  }
+  trees.push_back(Fig3Answer());
+  trees.push_back(testing::Doc("leaf"));
+  return trees;
+}
+
+/// Pairs a DocNavigable with the FlatAnswerTree built from its full export
+/// and names every node by its pre-order ordinal on each side, so results
+/// of the two implementations compare position by position.
+class FlatDifferential {
+ public:
+  explicit FlatDifferential(const xml::Document* doc) : doc_(doc) {
+    std::vector<SubtreeEntry> entries;
+    doc_.FetchSubtree(doc_.Root(), -1, &entries);
+    flat_ = FlatAnswerTree::Build(entries);
+    MIX_CHECK(flat_ != nullptr);
+    Number(&doc_, &doc_ids_, &doc_ord_);
+    Number(flat_.get(), &flat_ids_, &flat_ord_);
+  }
+
+  size_t size() const { return doc_ids_.size(); }
+
+  /// Runs every command from node `i` on both sides.
+  void CheckNode(size_t i) {
+    const NodeId& d = doc_ids_[i];
+    const NodeId& f = flat_ids_[i];
+    EXPECT_EQ(doc_.Fetch(d), flat_->Fetch(f));
+    EXPECT_EQ(doc_.FetchAtom(d), flat_->FetchAtom(f));
+    EXPECT_EQ(Ord(doc_.Down(d), doc_ord_), Ord(flat_->Down(f), flat_ord_));
+    EXPECT_EQ(Ord(doc_.Right(d), doc_ord_), Ord(flat_->Right(f), flat_ord_));
+
+    std::vector<NodeId> dk;
+    std::vector<NodeId> fk;
+    doc_.DownAll(d, &dk);
+    flat_->DownAll(f, &fk);
+    EXPECT_EQ(Ords(dk, doc_ord_), Ords(fk, flat_ord_));
+    for (int64_t k = -1; k <= static_cast<int64_t>(dk.size()) + 1; ++k) {
+      EXPECT_EQ(Ord(doc_.NthChild(d, k), doc_ord_),
+                Ord(flat_->NthChild(f, k), flat_ord_))
+          << "NthChild " << k;
+    }
+    for (int64_t limit : {-1, 0, 1, 2}) {
+      std::vector<NodeId> ds;
+      std::vector<NodeId> fs;
+      doc_.NextSiblings(d, limit, &ds);
+      flat_->NextSiblings(f, limit, &fs);
+      EXPECT_EQ(Ords(ds, doc_ord_), Ords(fs, flat_ord_))
+          << "NextSiblings " << limit;
+    }
+    const std::string own = doc_.Fetch(d);
+    for (const LabelPredicate& pred :
+         {LabelPredicate::Equals(own), LabelPredicate::Equals("a1"),
+          LabelPredicate::Any(),
+          LabelPredicate::Fn(
+              [](const Label& l) { return !l.empty() && l.back() == '2'; },
+              "ends in 2")}) {
+      EXPECT_EQ(Ord(doc_.SelectSibling(d, pred), doc_ord_),
+                Ord(flat_->SelectSibling(f, pred), flat_ord_))
+          << "SelectSibling " << pred.description();
+    }
+    for (int64_t depth : {0, 1, 2, 3, -1}) CheckSubtree(d, f, depth);
+  }
+
+ private:
+  static void Number(Navigable* nav, std::vector<NodeId>* ids,
+                     std::unordered_map<NodeId, int64_t, NodeIdHash>* ord) {
+    std::vector<NodeId> stack{nav->Root()};
+    while (!stack.empty()) {
+      NodeId p = stack.back();
+      stack.pop_back();
+      (*ord)[p] = static_cast<int64_t>(ids->size());
+      ids->push_back(p);
+      std::vector<NodeId> kids;
+      for (auto c = nav->Down(p); c.has_value(); c = nav->Right(*c)) {
+        kids.push_back(*c);
+      }
+      stack.insert(stack.end(), kids.rbegin(), kids.rend());
+    }
+  }
+
+  /// Ordinal of `p` (-1 for ⊥); an id the numbering never saw reads -2.
+  static int64_t Ord(const std::optional<NodeId>& p,
+                     const std::unordered_map<NodeId, int64_t, NodeIdHash>& ord) {
+    if (!p.has_value()) return -1;
+    auto it = ord.find(*p);
+    return it == ord.end() ? -2 : it->second;
+  }
+  static std::vector<int64_t> Ords(
+      const std::vector<NodeId>& ps,
+      const std::unordered_map<NodeId, int64_t, NodeIdHash>& ord) {
+    std::vector<int64_t> out;
+    for (const NodeId& p : ps) out.push_back(Ord(p, ord));
+    return out;
+  }
+
+  /// FetchSubtree on both sides; then navigates on from every truncation
+  /// resume id (d/r/f and a full-depth fetch).
+  void CheckSubtree(const NodeId& d, const NodeId& f, int64_t depth) {
+    std::vector<SubtreeEntry> de;
+    std::vector<SubtreeEntry> fe;
+    doc_.FetchSubtree(d, depth, &de);
+    flat_->FetchSubtree(f, depth, &fe);
+    ASSERT_EQ(de.size(), fe.size()) << "FetchSubtree depth " << depth;
+    for (size_t k = 0; k < de.size(); ++k) {
+      EXPECT_EQ(de[k].label, fe[k].label);
+      EXPECT_EQ(de[k].depth, fe[k].depth);
+      EXPECT_EQ(de[k].truncated, fe[k].truncated);
+      EXPECT_EQ(de[k].id.valid(), fe[k].id.valid());
+      if (!de[k].truncated || !fe[k].truncated) continue;
+      const NodeId& dr = de[k].id;
+      const NodeId& fr = fe[k].id;
+      EXPECT_EQ(Ord(dr, doc_ord_), Ord(fr, flat_ord_));
+      EXPECT_EQ(doc_.Fetch(dr), flat_->Fetch(fr));
+      EXPECT_EQ(Ord(doc_.Down(dr), doc_ord_), Ord(flat_->Down(fr), flat_ord_));
+      EXPECT_EQ(Ord(doc_.Right(dr), doc_ord_),
+                Ord(flat_->Right(fr), flat_ord_));
+      if (depth >= 0) CheckSubtree(dr, fr, -1);
+    }
+  }
+
+  xml::DocNavigable doc_;
+  std::unique_ptr<FlatAnswerTree> flat_;
+  std::vector<NodeId> doc_ids_;
+  std::vector<NodeId> flat_ids_;
+  std::unordered_map<NodeId, int64_t, NodeIdHash> doc_ord_;
+  std::unordered_map<NodeId, int64_t, NodeIdHash> flat_ord_;
+};
+
+TEST(FlatAnswerTreeTest, EveryCommandMatchesDocNavigable) {
+  for (const auto& doc : DifferentialTrees()) {
+    FlatDifferential diff(doc.get());
+    ASSERT_EQ(static_cast<int64_t>(diff.size()), doc->node_count());
+    for (size_t i = 0; i < diff.size(); ++i) {
+      diff.CheckNode(i);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "first mismatch at pre-order node " << i << " of "
+               << xml::ToTerm(doc->root()).substr(0, 200);
+      }
+    }
+  }
+}
+
+TEST(FlatAnswerTreeTest, ChargeIsTheArraysPlusLabelBytes) {
+  for (const auto& doc : DifferentialTrees()) {
+    std::vector<SubtreeEntry> entries;
+    xml::DocNavigable nav(doc.get());
+    nav.FetchSubtree(nav.Root(), -1, &entries);
+    std::unique_ptr<FlatAnswerTree> tree = FlatAnswerTree::Build(entries);
+    ASSERT_NE(tree, nullptr);
+    int64_t labels = 0;
+    for (const SubtreeEntry& e : entries) {
+      labels += static_cast<int64_t>(e.label.name().size());
+    }
+    const int64_t n = tree->node_count();
+    const int64_t arrays = static_cast<int64_t>(
+        tree->labels().capacity() * sizeof(Atom) +
+        tree->subtree_ends().capacity() * sizeof(int32_t));
+    EXPECT_EQ(tree->label_bytes(), labels);
+    EXPECT_EQ(SnapshotCharge(*tree), arrays + labels + kSnapshotFixedBytes);
+    EXPECT_EQ(arrays, 8 * n);
+    // The fixed part spreads to at most 4 B per node once a tree has 128
+    // nodes, which every answer worth caching has.
+    if (n >= kSnapshotFixedBytes / 4) {
+      EXPECT_LE(SnapshotCharge(*tree), 12 * n + labels) << n << " nodes";
+    }
+  }
+  // The Fig. 3 answer fits well inside one 64 KiB backend budget, and the
+  // cache accounts exactly its charge.
+  std::unique_ptr<xml::Document> fig3 = Fig3Answer();
+  xml::DocNavigable nav(fig3.get());
+  std::vector<SubtreeEntry> entries;
+  nav.FetchSubtree(nav.Root(), -1, &entries);
+  std::unique_ptr<FlatAnswerTree> tree = FlatAnswerTree::Build(entries);
+  const int64_t charge = SnapshotCharge(*tree);
+  EXPECT_LT(charge, 32 << 10);
+  AnswerViewCache cache(AnswerViewCache::Options{64 << 10});
+  cache.Publish(HandShape("fig3"), entries, {{"homesSrc", 0}});
+  AnswerViewCache::Stats s = cache.stats();
+  EXPECT_EQ(s.publishes, 1);
+  EXPECT_EQ(s.bytes, charge);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +697,111 @@ TEST(AnswerViewServiceTest, InvalidateSourceForcesReExchange) {
   EXPECT_EQ(MaterializeFramed(served.get()), expected);
   EXPECT_EQ(fx.exchanges(), warm);
   ASSERT_TRUE(served->Close().ok());
+}
+
+// Under the E13 fault matrix and across InvalidateSource, every OK answer a
+// session returns — view-served or live — equals the reference evaluation,
+// whether walked d/r/f or exported whole.
+TEST(AnswerViewServiceTest, ServedAnswersEqualReferenceUnderFaultsAndInvalidation) {
+  auto homes = xml::MakeHomesDoc(48, 12);
+  auto schools = xml::MakeSchoolsDoc(48, 12);
+  const std::string expected = xml::ToTerm(Fig3Answer()->root());
+  for (double p : {0.0, 0.05, 0.2}) {
+    SessionEnvironment env;
+    SessionEnvironment::WrapperOptions wo;
+    wo.fault.p_fail = p;
+    wo.fault.p_truncate = p / 4;
+    wo.fault.p_garble = p / 4;
+    wo.fault.p_duplicate = p / 4;
+    wo.fault.p_delay = p;
+    wo.retry.max_attempts = 10;
+    env.RegisterWrapperFactory(
+        "homesSrc",
+        [&homes] {
+          return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
+        },
+        "homes.xml", wo);
+    env.RegisterWrapperFactory(
+        "schoolsSrc",
+        [&schools] {
+          return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+        },
+        "schools.xml", wo);
+    MediatorService service(&env, ViewOptions(64 << 10));
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < 3; ++i) {
+        auto doc = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+        xml::Document walked;
+        const std::string walk =
+            xml::ToTerm(xml::MaterializeIntoNodeAtATime(doc.get(), &walked));
+        if (doc->last_status().ok()) {
+          EXPECT_EQ(walk, expected) << "p=" << p << " round " << round;
+        }
+        doc->clear_last_status();
+        xml::Document out;
+        Result<xml::Node*> exported = xml::MaterializeInto(doc.get(), &out);
+        if (exported.ok() && doc->last_status().ok()) {
+          EXPECT_EQ(xml::ToTerm(exported.value()), expected)
+              << "p=" << p << " round " << round;
+        }
+        ASSERT_TRUE(doc->Close().ok());
+      }
+      if (round == 0) service.InvalidateSource("homesSrc");
+    }
+    // Each round's first session donates, and the two after it are served.
+    service::ServiceMetricsSnapshot snap = service.Metrics();
+    EXPECT_EQ(snap.view_publishes, 2) << "p=" << p;
+    EXPECT_EQ(snap.view_hits, 4) << "p=" << p;
+    if (p > 0) {
+      EXPECT_GT(snap.source_faults, 0) << "p=" << p;
+    }
+  }
+}
+
+// One published snapshot read by sessions on every worker at once: the flat
+// tree holds no mutable state, so concurrent walks, partial fetches with
+// resume ids and exports all see the donor's answer (the TSan job runs it).
+TEST(AnswerViewServiceTest, ConcurrentSessionsShareOneSnapshot) {
+  ViewServiceFixture fx;
+  MediatorService::Options options = ViewOptions(1 << 20);
+  options.workers = 4;
+  MediatorService service(&fx.env(), options);
+  const std::string expected = fx.Reference(kFig3);
+  auto donor = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+  ASSERT_EQ(MaterializeFramed(donor.get()), expected);
+  ASSERT_TRUE(donor->Close().ok());
+  const int64_t cold = fx.exchanges();
+
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&service, &failures, &expected] {
+      for (int i = 0; i < kSessionsPerThread; ++i) {
+        auto doc = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+        xml::Document walked;
+        if (xml::ToTerm(xml::MaterializeIntoNodeAtATime(doc.get(), &walked)) !=
+            expected) {
+          ++failures;
+        }
+        std::vector<SubtreeEntry> top;
+        doc->FetchSubtree(doc->Root(), 1, &top);
+        for (const SubtreeEntry& e : top) {
+          if (!e.truncated) continue;
+          std::vector<SubtreeEntry> rest;
+          doc->FetchSubtree(e.id, -1, &rest);
+          if (rest.empty() || rest[0].label != e.label) ++failures;
+        }
+        if (MaterializeFramed(doc.get()) != expected) ++failures;
+        if (!doc->last_status().ok() || !doc->Close().ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(fx.exchanges(), cold);
+  EXPECT_EQ(service.Metrics().view_hits, kThreads * kSessionsPerThread);
 }
 
 /// A homes wrapper whose fills always fail: the first session degrades and

@@ -73,6 +73,33 @@ TEST(RobustnessTest, DeeplyNestedXml) {
   EXPECT_EQ(doc.value()->node_count(), kDepth + 1);
 }
 
+// The parsers keep open elements on an explicit stack, so even 100000
+// levels parse without the nesting depth of the input setting the depth of
+// the call stack (this holds under ASan with the default 8 MiB stack).
+TEST(RobustnessTest, HundredThousandLevelsParseWithoutRecursion) {
+  constexpr int kDepth = 100000;
+  std::string deep;
+  for (int i = 0; i < kDepth; ++i) deep += "<a>";
+  deep += "x";
+  for (int i = 0; i < kDepth; ++i) deep += "</a>";
+  auto doc = xml::Parse(deep);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc.value()->node_count(), kDepth + 1);
+
+  // An unterminated deep document is a typed error, not a crash.
+  deep.resize(deep.size() - 4 * (kDepth / 2));
+  auto cut = xml::Parse(deep);
+  EXPECT_FALSE(cut.ok());
+
+  std::string term;
+  for (int i = 0; i < kDepth; ++i) term += "a[";
+  term += "x";
+  for (int i = 0; i < kDepth; ++i) term += "]";
+  auto parsed = xml::ParseTerm(term);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value()->node_count(), kDepth + 1);
+}
+
 TEST(RobustnessTest, DeeplyNestedTermAndPattern) {
   std::string term;
   for (int i = 0; i < 2000; ++i) term += "a[";

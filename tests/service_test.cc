@@ -846,6 +846,37 @@ TEST(WholeExportTest, Fig3OpenIsFreeAndExportTakesOneExchangePerLevel) {
   EXPECT_EQ(xml::ToTerm(answer), fx.Reference());
 }
 
+// A 64 KiB answer-view budget holds the whole Fig. 3 answer: the donor's
+// export publishes it, and a fresh session is then served from the
+// snapshot with no wrapper exchange, at the reference answer.
+TEST(WholeExportTest, Fig3AnswerFitsA64KiBViewBudgetAndServesFreshSessions) {
+  Fig3ExchangeFixture fx;
+  MediatorService::Options options = fx.ServiceOptions();
+  options.answer_view_cache_bytes = 64 << 10;
+  MediatorService service(&fx.env(), options);
+  const std::string expected = fx.Reference();
+
+  auto donor = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  std::vector<SubtreeEntry> donated;
+  donor->FetchSubtree(donor->Root(), -1, &donated);
+  ASSERT_TRUE(donor->last_status().ok()) << donor->last_status().ToString();
+  ASSERT_TRUE(donor->Close().ok());
+  EXPECT_EQ(service.Metrics().view_publishes, 1);
+  EXPECT_GT(fx.Take(), 0);
+
+  auto fresh = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  std::vector<SubtreeEntry> entries;
+  fresh->FetchSubtree(fresh->Root(), -1, &entries);
+  EXPECT_TRUE(fresh->last_status().ok()) << fresh->last_status().ToString();
+  ASSERT_TRUE(fresh->Close().ok());
+  EXPECT_EQ(fx.Take(), 0);
+  EXPECT_EQ(service.Metrics().view_hits, 1);
+  xml::Document out;
+  const xml::Node* answer = xml::BuildFromSubtreeEntries(entries, &out);
+  ASSERT_NE(answer, nullptr);
+  EXPECT_EQ(xml::ToTerm(answer), expected);
+}
+
 // Only the whole-answer export takes unbounded batches: a browse and a
 // non-root FetchSubtree through the service cost exactly the exchanges the
 // same commands cost on a mediator over plain buffers (the sibling-cohort
